@@ -204,8 +204,12 @@ def cmd_spectral_flow(args) -> int:
     out = verify_sf_formula(problem, args.bc or "dirichlet",
                             tuple(args.s_range), N=args.N,
                             window_gap=args.window_gap)
-    verdict = int(out["sf"])
-    rep = IndexReport(command="spectral-flow", verdict=verdict,
+    verdict, reason = int(out["sf"]), None
+    if not out["agree"]:
+        verdict = UNDETERMINED
+        reason = (f"spectral flow {out['sf']} disagrees with the Maslov index "
+                  f"{out['maslov']}; the formula requires sf = -maslov")
+    rep = IndexReport(command="spectral-flow", verdict=verdict, reason=reason,
                       crossings=[{"s": t, "multiplicity": m, "inertia": list(i)}
                                  for t, m, i in out["crossings"]],
                       diagnostics={"maslov": out["maslov"], "agree": out["agree"],

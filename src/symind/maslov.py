@@ -277,7 +277,10 @@ def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
     grids = [p.initial_grid(a, b) for p in (path1, path2)]
     ts = np.unique(np.concatenate(grids))
     out = []
-    min_step = (b - a) * 2.0 ** (-MAX_REFINE_DEPTH)
+    # on a positive span the floor is also relative to the parameter, so a
+    # path rotating in log-time near a small endpoint can still be resolved
+    finest = 2.0 ** (-MAX_REFINE_DEPTH)
+    min_step = (b - a) * finest
     stack = [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)][::-1]
     guard = 0
     while stack:
@@ -290,7 +293,7 @@ def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
         if move <= budget:
             out.append(lo)
             out.append(mid)
-        elif hi - lo <= min_step:
+        elif hi - lo <= (min(min_step, lo * finest) if a > 0 else min_step):
             raise ContinuityBudgetExceeded(
                 f"movement {move:.3f} over step {hi - lo:.3e}")
         else:

@@ -19,12 +19,12 @@ quantity is a limit along truncations toward it.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import solve_ivp
 
 from .core import (
     LagrangianFrame,
@@ -58,7 +58,7 @@ UNKNOWN = "Unknown"
 
 DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 DRIFT_BUDGET = 1e-8
-DRIFT_CORRECTION_TRIGGER = 1e-10
+MAGNUS_TOL = 1e-10
 
 
 def _as_matrix_fun(coeff, n):
@@ -130,57 +130,88 @@ class SLProblem:
         return None
 
 
-def to_hamiltonian(problem: SLProblem, s: float | None = None):
-    """The first-order field (t, z) -> J H(t) z equivalent to l x = 0.
+def hamiltonians(problem: SLProblem, ts, s: float | None = None) -> np.ndarray:
+    """H(t) for every t in ts, stacked as a (len(ts), 2n, 2n) array, so that
+    l x = 0 is z' = J H(t) z.
 
-    Returns (field, hamiltonian); CoefficientSingular when P(t) is not
-    invertible.
+    The coefficients are sampled node by node and stacked; P is inverted in
+    one batch.  CoefficientSingular when P is not invertible at some node.
     """
-    J = problem.space.form
     n = problem.dim
-
-    def hamiltonian(t):
-        P, Q, R = problem.coefficients(t, s)
-        try:
-            Pinv = np.linalg.inv(P)
-        except np.linalg.LinAlgError as exc:
-            raise CoefficientSingular(f"P({t}) is singular") from exc
-        H = np.empty((2 * n, 2 * n))
-        H[:n, :n] = -Pinv
-        H[:n, n:] = Pinv @ Q
-        H[n:, :n] = Q.T @ Pinv
-        H[n:, n:] = R - Q.T @ Pinv @ Q
-        return 0.5 * (H + H.T)
-
-    def field(t, z):
-        return J @ hamiltonian(t) @ z
-
-    return field, hamiltonian
+    P, Q, R = (np.array(block) for block in zip(*(problem.coefficients(t, s) for t in ts)))
+    try:
+        Pinv = np.linalg.inv(P)
+    except np.linalg.LinAlgError as exc:
+        raise CoefficientSingular(
+            f"P(t) is singular for some t in [{min(ts)}, {max(ts)}]") from exc
+    QT = np.swapaxes(Q, 1, 2)
+    H = np.empty((len(P), 2 * n, 2 * n))
+    H[:, :n, :n] = -Pinv
+    H[:, :n, n:] = Pinv @ Q
+    H[:, n:, :n] = QT @ Pinv
+    H[:, n:, n:] = R - QT @ H[:, :n, n:]
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
 
 
-def _resymplectify(M: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Project M onto the symplectic group via M (-J M^T J M)^{-1/2}.
+# Gauss-Legendre nodes of one sixth-order Magnus step, as fractions of the step
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_SQRT15_3 = math.sqrt(15.0) / 3.0
+_EPS = float(np.finfo(float).eps)
 
-    K = -J M^T J M satisfies J K = K^T J, so the correction restores
-    M^T J M = J exactly; valid for K near the identity, which the drift
-    trigger guarantees.
+
+def _bracket(X, Y):
+    return X @ Y - Y @ X
+
+
+def _magnus_exponents(A: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Sixth-order Magnus exponents of steps of signed lengths h (k,) from the
+    generators A (k, 3, m, m) at each step's three Gauss nodes (Blanes, Casas,
+    Oteo & Ros, Phys. Rep. 470 (2009), section 5).  Brackets of Hamiltonian
+    matrices are Hamiltonian, so every exponential is symplectic."""
+    h = h[:, None, None]
+    A1, A2, A3 = A[:, 0], A[:, 1], A[:, 2]
+    a1 = h * A2
+    a2 = _SQRT15_3 * h * (A3 - A1)
+    a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
+    C1 = _bracket(a1, a2)
+    C2 = _bracket(a1, 2.0 * a3 + C1) / -60.0
+    return a1 + a3 / 12.0 + _bracket(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp of a stack of Hamiltonian matrices.
+
+    A 2x2 Hamiltonian matrix is trace-free, so X^2 = d I with d = -det X and
+    exp X = cosh(r) I + (sinh(r) / r) X at r = sqrt(d), imaginary for d < 0.
     """
-    K = -J @ (M.T @ J @ M)
-    root = sla.sqrtm(K)
-    if np.iscomplexobj(root):
-        if np.max(np.abs(root.imag)) > 1e-10:
-            raise DriftBudgetExceeded("symplectic projection produced a complex root")
-        root = root.real
-    return M @ np.linalg.inv(root)
+    if X.shape[-1] != 2:
+        return sla.expm(X)
+    a = 0.5 * (X[:, 0, 0] - X[:, 1, 1])
+    r = np.sqrt((a * a + X[:, 0, 1] * X[:, 1, 0]).astype(complex))
+    E = np.sinc(r / (1j * math.pi)).real[:, None, None] * X       # sinh(r) / r
+    c = np.cosh(r).real
+    E[:, 0, 0] += c
+    E[:, 1, 1] += c
+    return E
 
 
 class FundamentalSolution:
-    """gamma(t) with gamma(t0) = I, integrated piecewise with drift control.
+    """gamma(t) with gamma(t0) = I by a sixth-order Magnus integrator.
 
-    The span is split into checkpoints (geometric when it hugs a coordinate
-    singularity at 0, linear otherwise); at each checkpoint the symplectic
-    residual is logged and, above the correction trigger, projected away.
-    Evaluation between checkpoints uses the integrator's dense output.
+    Each direction away from t0 starts from one grid of INITIAL_STEPS steps,
+    geometric when the span hugs a coordinate singularity at 0 and linear
+    otherwise.  Every step is compared with its two halves, and the halves
+    are kept.  Refinement stops once the Richardson estimate of the kept
+    matrices' error, relative to max(1, max|M|), is at most ``tol`` at every
+    node; until then the steps whose own estimate exceeds ``tol`` times their
+    share of the span (in log-time on a geometric grid), and machine epsilon,
+    are split, so only the stretches that need it get shorter steps.  A step
+    that would have to shrink below 2^-MAX_DEPTH of the span raises
+    StepSizeUnderflow.  Every step is the exponential of a Hamiltonian
+    matrix, so the flow is symplectic to roundoff; the symplectic residual is
+    logged at every node and checked against the drift budget.  Evaluation
+    between nodes is one partial Magnus step from the node on the base-point
+    side.
 
     Drift bookkeeping is scale-free: the logged residual is
     max|M^T J M - J| / (1 + max|M|^2), which coincides with the absolute
@@ -188,9 +219,11 @@ class FundamentalSolution:
     matrix grows past the float64 floor eps * |M|^2 near a singular endpoint.
     """
 
+    INITIAL_STEPS = 8
+    MAX_DEPTH = 40
+
     def __init__(self, problem: SLProblem, t0: float, span: tuple, s: float | None = None,
-                 rtol: float = 1e-10, atol: float = 1e-11,
-                 drift_budget: float = DRIFT_BUDGET):
+                 tol: float = MAGNUS_TOL, drift_budget: float = DRIFT_BUDGET):
         c, d = float(span[0]), float(span[1])
         if not c < d:
             raise ValueError("span must be nontrivial")
@@ -199,76 +232,104 @@ class FundamentalSolution:
         self.problem = problem
         self.t0 = float(t0)
         self.span = (c, d)
+        self.tol = tol
         self.drift_budget = drift_budget
         self.drift_log: list = []
-        self._field, self._hamiltonian = to_hamiltonian(problem, s)
+        self.steps: dict = {}            # accepted Magnus steps per direction
+        self._s = s
         self._J = problem.space.form
-        self._dim = 2 * problem.dim
-        self._segments = []
-        self._rtol, self._atol = rtol, atol
-        self._integrate()
+        self._branches = {}              # direction -> (direction * nodes, matrices)
+        for direction, far, name in ((1, d, "forward"), (-1, c, "backward")):
+            if far != self.t0:
+                with np.errstate(over="ignore", invalid="ignore"):    # coarse steps may overflow
+                    nodes, M = self._integrate(far)
+                self._branches[direction] = ((direction * nodes).tolist(), M)
+                self.steps[name] = len(nodes) - 1
 
-    def _checkpoint_grid(self, lo, hi):
-        # geometric checkpoints match the log-time scale near a coordinate
-        # singularity; on regular spans a handful suffices since segments
-        # split themselves whenever drift accrues
-        if lo > 0 and hi / max(lo, 1e-300) > 50.0:
-            return np.geomspace(lo, hi, 49)
-        return np.linspace(lo, hi, 5)
+    def _step_matrices(self, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
+        """exp(Omega) of the Magnus step t_from[k] -> t_to[k], for every k."""
+        h = t_to - t_from
+        m = self._J.shape[0]
+        ts = (t_from[:, None] + h[:, None] * _GAUSS).ravel()
+        A = self._J @ hamiltonians(self.problem, ts, self._s)
+        return _expm(_magnus_exponents(A.reshape(len(h), 3, m, m), h))
 
-    def _integrate(self):
-        c, d = self.span
-        dim = self._dim
+    def _chain(self, E: np.ndarray) -> np.ndarray:
+        """The products I, E[0], E[1] E[0], ... of consecutive steps."""
+        M = np.empty((len(E) + 1,) + self._J.shape)
+        M[0] = np.eye(self._J.shape[0])
+        for k, step in enumerate(E):
+            M[k + 1] = step @ M[k]
+        return M
 
-        def rhs(t, y):
-            return self._field(t, y.reshape(dim, dim)).reshape(-1)
+    def _integrate(self, far: float):
+        lo, hi = sorted((self.t0, far))
+        geometric = lo > 0 and hi / lo > 50.0
+        warp = np.log if geometric else np.asarray     # steps are uniform in warp(t)
+        width = abs(float(warp(far) - warp(self.t0)))
 
-        def run_segment(t_from, t_to, M, depth):
-            """Integrate one checkpoint segment, splitting until the drift
-            accrued across it stays safely inside the budget."""
-            sol = solve_ivp(rhs, (t_from, t_to), M.reshape(-1), method="RK45",
-                            rtol=self._rtol, atol=self._atol, dense_output=True)
-            if not sol.success:
+        def bisect_steps(seg, whole):
+            """(start, mid, end) and (whole, first half, second half) of the
+            steps seg[k, 0] -> seg[k, 1] whose exponentials are ``whole``."""
+            mid = np.sqrt(seg[:, 0] * seg[:, 1]) if geometric else seg.mean(axis=1)
+            halves = self._step_matrices(np.concatenate([seg[:, 0], mid]),
+                                         np.concatenate([mid, seg[:, 1]]))
+            return (np.column_stack([seg[:, 0], mid, seg[:, 1]]),
+                    np.stack([whole, *np.split(halves, 2)], axis=1))
+
+        grid = (np.geomspace if geometric else np.linspace)(self.t0, far, self.INITIAL_STEPS + 1)
+        seg, E = bisect_steps(np.column_stack([grid[:-1], grid[1:]]),
+                              self._step_matrices(grid[:-1], grid[1:]))
+        while True:
+            M = self._chain(E[:, 1:].reshape((-1,) + self._J.shape))
+            size = np.maximum(1.0, np.max(np.abs(M[::2]), axis=(1, 2)))
+            # Richardson estimate of the error of the halved steps, sixth order
+            err = np.max(np.abs(M[::2] - self._chain(E[:, 0])), axis=(1, 2)) / (63.0 * size)
+            if np.max(err) <= self.tol:
+                break
+            fine = E[:, 2] @ E[:, 1]
+            local = np.max(np.abs(fine - E[:, 0]), axis=(1, 2)) / (
+                63.0 * np.maximum(1.0, np.max(np.abs(fine), axis=(1, 2))))
+            share = np.abs(warp(seg[:, 2]) - warp(seg[:, 0])) / width
+            # a NaN estimate (overflow) splits; below eps the estimate is roundoff
+            split = ~(local <= np.maximum(self.tol * share, _EPS))
+            if not split.any():
+                break
+            if np.any(share[split] <= 2.0 ** -self.MAX_DEPTH):
                 raise StepSizeUnderflow(
-                    f"integration failed on [{t_from:.3e}, {t_to:.3e}]: {sol.message}")
-            M_end = sol.y[:, -1].reshape(dim, dim)
-            scale = 1.0 + float(np.max(np.abs(M_end))) ** 2
-            res = float(np.max(np.abs(M_end.T @ self._J @ M_end - self._J))) / scale
-            if res > 0.25 * self.drift_budget and depth < 24:
-                lo, hi = min(t_from, t_to), max(t_from, t_to)
-                mid = math.sqrt(lo * hi) if lo > 0 else 0.5 * (lo + hi)
-                M_mid = run_segment(t_from, mid, M, depth + 1)
-                return run_segment(mid, t_to, M_mid, depth + 1)
-            self.drift_log.append((float(t_to), res))
-            if res > self.drift_budget:
-                raise DriftBudgetExceeded(f"normalized drift {res:.2e} at t={t_to:.3e}")
-            if res > DRIFT_CORRECTION_TRIGGER:
-                M_end = _resymplectify(M_end, self._J)
-            self._segments.append((min(t_from, t_to), max(t_from, t_to), sol))
-            return M_end
+                    f"Magnus step below 2^-{self.MAX_DEPTH} of [{lo:.3e}, {hi:.3e}] "
+                    f"needed for tol {self.tol:.1e}")
+            new_seg, new_E = bisect_steps(np.concatenate([seg[split, :2], seg[split, 1:]]),
+                                          np.concatenate([E[split, 1], E[split, 2]]))
+            seg, E = np.concatenate([seg[~split], new_seg]), np.concatenate([E[~split], new_E])
+            order = np.argsort(np.abs(seg[:, 0] - self.t0))    # outward from the base point
+            seg, E = seg[order], E[order]
+        nodes = np.append(seg[:, :2].ravel(), far)
 
-        for direction in (+1, -1):
-            if (direction > 0 and self.t0 >= d) or (direction < 0 and self.t0 <= c):
-                continue
-            far = d if direction > 0 else c
-            lo, hi = min(self.t0, far), max(self.t0, far)
-            grid = self._checkpoint_grid(lo, hi)
-            if direction < 0:
-                grid = grid[::-1]
-            M = np.eye(dim)
-            for k in range(len(grid) - 1):
-                M = run_segment(grid[k], grid[k + 1], M, 0)
+        J = self._J
+        scale = 1.0 + np.max(np.abs(M), axis=(1, 2)) ** 2
+        res = np.max(np.abs(np.swapaxes(M, 1, 2) @ J @ M - J), axis=(1, 2)) / scale
+        self.drift_log.extend(zip(nodes[1:].tolist(), res[1:].tolist()))
+        worst = int(np.argmax(res))
+        if not res[worst] <= self.drift_budget:
+            raise DriftBudgetExceeded(
+                f"normalized drift {res[worst]:.2e} at t={nodes[worst]:.3e}")
+        return nodes, M
 
     def matrix(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t == self.t0:
-            return np.eye(self._dim)
-        if not (self.span[0] - 1e-12 <= t <= self.span[1] + 1e-12):
+        c, d = self.span
+        if not (c - 1e-12 <= t <= d + 1e-12):
             raise ValueError(f"t={t} outside the integrated span {self.span}")
-        for lo, hi, sol in self._segments:
-            if lo - 1e-15 <= t <= hi + 1e-15:
-                return sol.sol(t).reshape(self._dim, self._dim)
-        raise ValueError(f"no segment covers t={t}")
+        t = min(max(float(t), c), d)
+        if t == self.t0:
+            return np.eye(self._J.shape[0])
+        direction = 1 if t > self.t0 else -1
+        keys, mats = self._branches[direction]
+        k = bisect.bisect_right(keys, direction * t) - 1
+        base, M = direction * keys[k], mats[k]
+        if base == t:
+            return M.copy()
+        return self._step_matrices(np.array([base]), np.array([t]))[0] @ M
 
     def symplectic(self, t: float) -> SymplecticMatrix:
         return SymplecticMatrix(self.problem.space, self.matrix(t))
@@ -385,6 +446,7 @@ def morse_index_dirichlet(problem: SLProblem,
             conjugate_points=list(pts), assumptions=assumptions,
             diagnostics={"delta_trace": [[d, count] for d in schedule],
                          "max_drift": fs.max_drift(),
+                         "integrator_steps": dict(fs.steps),
                          "truncation": "none (regular problem)"})
 
     if side == 0:
@@ -400,7 +462,8 @@ def morse_index_dirichlet(problem: SLProblem,
     verdict, reason = _schedule_verdict(counts)
 
     diagnostics = {"delta_trace": [[d, c] for d, c in zip(schedule, counts)],
-                   "max_drift": fs.max_drift()}
+                   "max_drift": fs.max_drift(),
+                   "integrator_steps": dict(fs.steps)}
     qval = problem.params.get("q")
     if problem.catalog in ("bessel", "bessel_r") and qval is not None and qval < -0.25:
         nu = math.sqrt(-0.25 - qval)
@@ -790,7 +853,7 @@ def _classify_by_integration(problem: SLProblem, side: int) -> str:
             anchor, lo, hi = ref, ref, cutoffs[-1]
 
     fs = fundamental_solution(problem, anchor, (min(lo, hi), max(lo, hi)),
-                              rtol=1e-8, atol=1e-10, drift_budget=1e30)
+                              tol=1e-8, drift_budget=1e30)
 
     def gram_between(t0, t1):
         nodes = np.geomspace(min(t0, t1), max(t0, t1), 33) if min(t0, t1) > 0 \

@@ -84,6 +84,19 @@ class TestSpectralFlowCommand:
         assert rep["diagnostics"]["maslov"] == 3
         assert rep["diagnostics"]["agree"] is True
 
+    def test_route_disagreement_is_undetermined(self, capsys):
+        # at N = 512 the eigenvalue count sees 1 of the 5 crossings of
+        # -u'' - 300 s u (k pi < sqrt(300) for k = 1..5); the Maslov route
+        # finds all 5, so the verdict must not be either count
+        code, out, _ = run_cli(["spectral-flow", "--problem", "free",
+                                "--ramp", "-300", "--N", "512"], capsys)
+        assert code == EXIT_UNDETERMINED
+        rep = json.loads(out)
+        assert rep["verdict"] == UNDETERMINED
+        assert rep["diagnostics"]["maslov"] == 5
+        assert rep["diagnostics"]["agree"] is False
+        assert "spectral flow -1" in rep["reason"] and "Maslov index 5" in rep["reason"]
+
 
 class TestRellichCommand:
     def test_scan(self, capsys):

@@ -1,0 +1,91 @@
+"""The Magnus fundamental solution against high-precision oracles, and its
+symplectic invariant as a property.
+
+Oracles: a Mathieu monodromy integrated by mpmath's Taylor-series ODE solver
+(Mathieu has no closed form); the Airy functions Ai(-t), Bi(-t) over a span of
+about 1200 oscillations.  Property: M^T J M = J to roundoff for random smooth
+Hamiltonians in dimensions 1 to 3, on and between grid nodes.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import airy
+
+from symind.catalog import make_problem
+from symind.core import SymplecticSpace
+from symind.sturm import SLProblem, fundamental_solution
+
+
+def _scaled_residual(M, J):
+    return float(np.max(np.abs(M.T @ J @ M - J))) / (1.0 + float(np.max(np.abs(M))) ** 2)
+
+
+class TestMathieuOracle:
+    def test_monodromy_against_taylor_solver(self):
+        a, qm = 1.0, 0.7
+        fs = fundamental_solution(make_problem("mathieu", a=a, q=qm), 0.0, (0.0, math.pi))
+        with mpmath.workdps(25):
+            def rhs(t, y):
+                R = a - 2 * qm * mpmath.cos(2 * t)
+                # two columns of (u, x): u' = R x, x' = u
+                return [R * y[1], y[0], R * y[3], y[2]]
+
+            sol = mpmath.odefun(rhs, 0, [1, 0, 0, 1])
+            for t in (1.0, math.pi):
+                y = sol(mpmath.mpf(t))
+                expected = np.array([[float(y[0]), float(y[2])], [float(y[1]), float(y[3])]])
+                assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-9
+
+
+class TestLongSpan:
+    def test_airy_over_many_oscillations(self):
+        # x'' = -t x on (0, 500): the frequency rises to sqrt(500), so the
+        # steps shrink along the span; about 65000 of them are needed
+        L = 500.0
+        prob = SLProblem(1, (0.0, L), 1.0, 0.0, lambda t: np.array([[-t]]))
+        fs = fundamental_solution(prob, 0.0, (0.0, L))
+
+        def Z(t):
+            ai, aip, bi, bip = airy(-t)
+            return np.array([[-aip, -bip], [ai, bi]])      # rows x', x
+
+        Z0inv = np.linalg.inv(Z(0.0))
+        for t in (L / 3, L / 2 + 0.123, L - 0.77, L):
+            expected = Z(t) @ Z0inv
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-8 * scale, t
+
+
+def _random_problem(dim, rng):
+    """Smooth coefficients on (0, 1): P = I + 0.4 sin(3t) S with |S| <= 1 stays
+    positive definite; Q arbitrary and linear in t; R symmetric and oscillating."""
+    def sym(scale):
+        X = rng.standard_normal((dim, dim))
+        return scale * (X + X.T) / 2.0
+
+    S = sym(1.0)
+    S /= max(1.0, float(np.max(np.abs(np.linalg.eigvalsh(S)))))
+    Q0, Q1 = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
+    R0, R1 = sym(3.0), sym(3.0)
+    return SLProblem(dim, (0.0, 1.0),
+                     lambda t: np.eye(dim) + 0.4 * math.sin(3.0 * t) * S,
+                     lambda t: Q0 + t * Q1,
+                     lambda t: R0 + math.cos(5.0 * t) * R1)
+
+
+class TestSymplecticProperty:
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           t0=st.sampled_from([0.0, 0.37, 1.0]))
+    def test_flow_is_symplectic_to_roundoff(self, dim, seed, t0):
+        rng = np.random.default_rng(seed)
+        problem = _random_problem(dim, rng)
+        fs = fundamental_solution(problem, t0, (0.0, 1.0))
+        J = SymplecticSpace.standard(dim).form
+        for t in np.concatenate([np.linspace(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 8)]):
+            assert _scaled_residual(fs.matrix(t), J) <= 1e-12
+        assert fs.max_drift() <= 1e-12

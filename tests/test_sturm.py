@@ -30,9 +30,9 @@ from symind.sturm import (
     darboux_basis,
     endpoint_classify,
     fundamental_solution,
+    hamiltonians,
     morse_index_dirichlet,
     morse_index_general,
-    to_hamiltonian,
     trace_map,
 )
 
@@ -42,8 +42,7 @@ S1 = SymplecticSpace.standard(1)
 class TestHamiltonianReduction:
     def test_block_structure_scalar(self):
         prob = make_problem("harmonic", omega=3.0)
-        _, ham = to_hamiltonian(prob)
-        H = ham(0.3)
+        H = hamiltonians(prob, [0.3])[0]
         # (quasi-derivative, position) ordering; sign fixed so that
         # z' = J H z reproduces x'' = -(omega^2) x ... here R = -omega^2
         assert np.allclose(H, np.array([[-1.0, 0.0], [0.0, -9.0]]))
@@ -51,19 +50,17 @@ class TestHamiltonianReduction:
 
     def test_field_reproduces_equation(self):
         prob = make_problem("harmonic", omega=2.0)
-        field, _ = to_hamiltonian(prob)
         # z = (u, x) with u = x'; l x = 0 means x'' = -4x, so u' = -4x... with
         # R = -omega^2 the equation is -x'' - 4x = 0, i.e. x'' = -4x
         z = np.array([0.7, -0.2])
-        dz = field(0.1, z)
+        dz = S1.form @ hamiltonians(prob, [0.1])[0] @ z
         assert dz[1] == pytest.approx(0.7)      # x' = u
         assert dz[0] == pytest.approx(-4.0 * -0.2)  # u' = R x
 
     def test_singular_p_raises(self):
         prob = SLProblem(1, (0.0, 1.0), lambda t: np.array([[t]]), 0.0, 0.0)
-        _, ham = to_hamiltonian(prob)
         with pytest.raises(CoefficientSingular):
-            ham(0.0)
+            hamiltonians(prob, [0.0])
 
 
 class TestFundamentalSolution:
@@ -101,17 +98,18 @@ class TestFundamentalSolution:
             assert np.allclose(fs.matrix(t), Z(t) @ Z0inv, atol=1e-8)
 
     def test_bessel_general_matches_analytic(self):
-        # numeric vs analytic on [delta, 1] to 1e-8 relative for delta >= 1e-4
+        # numeric vs analytic on [delta, 1] to 1e-8 relative down to delta = 1e-7,
+        # on grid nodes and between them
         for q in (0.5, -0.25 - np.pi ** 2):
             prob = make_problem("bessel", q=q)
             from symind.bessel import r_of_q
             r = r_of_q(q)
-            fs = fundamental_solution(prob, 1.0, (1e-4, 1.0))
+            fs = fundamental_solution(prob, 1.0, (1e-7, 1.0))
             def Z(t):
                 y1, y2, d1, d2 = singular_solutions(r, t)
                 return np.array([[d1, d2], [y1, y2]])
             Z1inv = np.linalg.inv(Z(1.0))
-            for t in (1e-4, 1e-3, 0.3, 0.9):
+            for t in (1e-7, 1.234e-7, 3.3e-5, 1e-4, 1e-3, 0.0271, 0.3, 0.777, 0.9):
                 expected = Z(t) @ Z1inv
                 scale = np.max(np.abs(expected))
                 assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-8 * max(1.0, scale)
@@ -208,6 +206,27 @@ class TestMorseIndexDirichlet:
         for t, e in zip(sorted(pts), expected):
             assert abs(t - e) / e < 1e-6
 
+    @pytest.mark.parametrize("nu", [1.79, 2.09, 3.1899])
+    def test_bessel_fast_rotation_near_truncation(self, nu):
+        # near t = 1e-7 the path turns by nu * dt / t; a refinement floor fixed
+        # at (1 - 1e-7) 2^-26 cannot resolve that, a relative one can
+        rep = morse_index_dirichlet(make_problem("bessel", q=-0.25 - nu * nu))
+        assert rep.verdict == INFINITE
+        assert all(m == 1 for _, m in rep.conjugate_points)
+        pts = sorted(t for t, _ in rep.conjugate_points)
+        zeros = [math.exp(-k * math.pi / nu) for k in range(1, 64)
+                 if math.exp(-k * math.pi / nu) > 1e-7]
+        assert len(pts) == len(zeros)
+        for t, z in zip(pts, sorted(zeros)):
+            assert abs(t - z) / z < 1e-6
+
+    def test_integrator_steps_reported(self):
+        rep = morse_index_dirichlet(make_problem("bessel", q=-0.25 - np.pi ** 2))
+        steps = rep.diagnostics["integrator_steps"]
+        assert list(steps) == ["backward"] and steps["backward"] >= 8
+        rep = morse_index_dirichlet(make_problem("harmonic", omega=10.0))
+        assert list(rep.diagnostics["integrator_steps"]) == ["forward"]
+
 
 class TestEndpointClassify:
     def test_harmonic_regular_both(self):
@@ -226,6 +245,15 @@ class TestEndpointClassify:
                          lambda t: np.array([[2.0 / t ** 2]]),
                          endpoints=("Unknown", REGULAR))
         assert endpoint_classify(prob, "a") == LIMIT_POINT
+
+    def test_half_line_oscillatory_tail(self):
+        # right end at infinity, where the tail oracle integrates over 4^8
+        # units: -(t^4 x')' - (9/4 + 400) t^2 x = 0 has the solutions
+        # t^(-3/2) cos(20 ln t), t^(-3/2) sin(20 ln t), both square-integrable
+        prob = SLProblem(1, (1.0, np.inf), lambda t: np.array([[t ** 4]]), 0.0,
+                         lambda t: np.array([[-(2.25 + 400.0) * t ** 2]]),
+                         endpoints=(REGULAR, "Unknown"))
+        assert endpoint_classify(prob, "b") == LIMIT_CIRCLE
 
     def test_integration_oracle_limit_circle(self):
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0,
