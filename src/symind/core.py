@@ -141,20 +141,33 @@ def lagrangian_from_columns(space: SymplecticSpace, columns, tol: float | None =
     NotIsotropic when the form does not vanish on the span.
     """
     cols = np.atleast_2d(np.asarray(columns, dtype=float))
-    if cols.shape[0] != space.dim:
+    return LagrangianFrame(space, stacked_lagrangian_frames(space, cols[None], tol)[0])
+
+
+def stacked_lagrangian_frames(space: SymplecticSpace, columns, tol: float | None = None) -> np.ndarray:
+    """``lagrangian_from_columns`` over a stack: spanning columns (k, dim, m)
+    in, orthonormal frames (k, dim, half_dim) out.  The isotropy residual,
+    the QR factorization and the rank check each run once over the stack;
+    the first offending member raises."""
+    cols = np.asarray(columns, dtype=float)
+    if cols.ndim != 3 or cols.shape[1] != space.dim:
         raise ValueError(f"columns must have {space.dim} rows")
-    scale = max(1.0, float(np.max(np.abs(cols))) if cols.size else 1.0)
+    scale = np.maximum(1.0, np.max(np.abs(cols), axis=(1, 2), initial=0.0))
     tol = DEFAULT_TOL * (1.0 + scale) if tol is None else tol
 
-    iso = np.max(np.abs(cols.T @ space.form @ cols)) if cols.size else 0.0
-    if iso > tol * scale:
-        raise NotIsotropic(f"column span is not isotropic (residual {iso:.3e})")
+    iso = np.max(np.abs(np.swapaxes(cols, 1, 2) @ space.form @ cols), axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(iso > tol * scale)
+    if bad.size:
+        raise NotIsotropic(f"column span is not isotropic (residual {iso[bad[0]]:.3e})")
 
     q, r = np.linalg.qr(cols)
-    rank = int(np.sum(np.abs(np.diag(r)) > tol * scale))
-    if rank < space.half_dim:
-        raise RankDeficient(f"span has rank {rank} < {space.half_dim}")
-    return LagrangianFrame(space, q[:, :rank])
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    rank = np.sum(diag > np.reshape(tol * scale, (-1, 1)), axis=1)
+    if rank.min() < space.half_dim:
+        raise RankDeficient(f"span has rank {rank.min()} < {space.half_dim}")
+    if rank.max() > space.half_dim:
+        raise ValueError("frame must be dim x half_dim")
+    return q[:, :, :space.half_dim]
 
 
 def intersection_dim(A: LagrangianFrame, B: LagrangianFrame, tol: float = 1e-8) -> int:
@@ -172,8 +185,15 @@ def principal_sines(A: LagrangianFrame, B: LagrangianFrame) -> np.ndarray:
     the largest value is the gap distance between the subspaces.
     """
     _check_same_space(A, B)
-    s = np.linalg.svd(A.frame.T @ A.space.form @ B.frame, compute_uv=False)
-    return np.sort(np.clip(s, 0.0, 1.0))
+    return stacked_principal_sines(A.space, A.frame[None], B.frame[None])[0]
+
+
+def stacked_principal_sines(space: SymplecticSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``principal_sines`` of frame stacks A[k], B[k] (k, dim, half_dim) of one
+    space, as a (k, half_dim) array ascending along each row: one SVD call
+    over the stack of A^T J B."""
+    s = np.linalg.svd(np.swapaxes(A, 1, 2) @ space.form @ B, compute_uv=False)
+    return np.sort(np.clip(s, 0.0, 1.0), axis=-1)
 
 
 def gap_distance(A: LagrangianFrame, B: LagrangianFrame) -> float:

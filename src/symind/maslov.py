@@ -30,6 +30,7 @@ from .core import (
     principal_sines,
     random_lagrangian,
     rotation_matrix,
+    stacked_principal_sines,
 )
 from .errors import (
     ChartBreakdown,
@@ -63,23 +64,26 @@ class CrossingRecord:
 
 
 class LagrangianPath:
-    """A sampled, refinable path t -> LagrangianFrame on [a, b].
+    """A sampled path t -> LagrangianFrame on [a, b].
 
     The sampler must be re-entrant; evaluations are cached per parameter so
     that ODE-backed samplers are not re-integrated during crossing scans.
+    ``many``, when given, samples an array of parameters in one batch and
+    returns their frame matrices stacked as (k, dim, half_dim); ``frames``
+    uses it for every parameter not yet cached.
     """
 
     def __init__(self, space: SymplecticSpace, fun, a: float, b: float,
-                 samples: int = 256, refinable: bool = True, grid=None):
+                 samples: int = 256, grid=None, many=None):
         if not b > a:
             raise ValueError("need b > a")
         self.space = space
         self.a = float(a)
         self.b = float(b)
         self.samples = int(samples)
-        self.refinable = refinable
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self._fun = fun
+        self._many = many
         self._cache: dict[float, LagrangianFrame] = {}
 
     def initial_grid(self, a: float, b: float) -> np.ndarray:
@@ -101,15 +105,27 @@ class LagrangianPath:
             self._cache[t] = hit
         return hit
 
+    def frames(self, ts) -> np.ndarray:
+        """Frame matrices at every t in ts, stacked as (len(ts), dim, half_dim).
+
+        Cached parameters are reused; the others go to the batched sampler in
+        one call when the path has one, and through ``__call__`` otherwise.
+        """
+        ts = [float(t) for t in ts]
+        missing = [t for t in dict.fromkeys(ts) if t not in self._cache]
+        if self._many is None:
+            for t in missing:
+                self(t)
+        elif missing:
+            for t, F in zip(missing, self._many(np.array(missing))):
+                self._cache[t] = LagrangianFrame(self.space, F)
+        return np.array([self._cache[t].frame for t in ts])
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, frame: LagrangianFrame, a: float, b: float) -> "LagrangianPath":
         return cls(frame.space, lambda t: frame, a, b, samples=2)
-
-    @classmethod
-    def from_function(cls, space, fun, a, b, samples=256) -> "LagrangianPath":
-        return cls(space, fun, a, b, samples=samples)
 
     @classmethod
     def rotation(cls, base: LagrangianFrame, angle_fun, a: float, b: float) -> "LagrangianPath":
@@ -159,7 +175,7 @@ class LagrangianPath:
             R = np.cos(ang) * eye + np.sin(ang) * J
             return LagrangianFrame(self.space, R @ self(t).frame)
 
-        return LagrangianPath(self.space, fun, self.a, self.b, self.samples, self.refinable)
+        return LagrangianPath(self.space, fun, self.a, self.b, self.samples)
 
 
 # -- crossing forms ----------------------------------------------------------
@@ -263,44 +279,45 @@ def crossing_form(path: LagrangianPath, reference: LagrangianFrame, t0: float,
 # -- crossing localization ---------------------------------------------------
 
 
-def _pair_gap(path1, path2, s, t):
-    return max(gap_distance(path1(s), path1(t)), gap_distance(path2(s), path2(t)))
-
-
 def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
     """Sample parameters so consecutive frames of both paths move < budget.
 
     An interval passes only when its endpoints AND its midpoint are all
     within budget of each other: the endpoint gap alone aliases when a line
-    rotates by a multiple of pi across one step.
+    rotates by a multiple of pi across one step.  Refinement runs in waves:
+    the midpoints of every open interval are sampled in one batch per path
+    and all their gaps come from one stacked SVD, then each interval is
+    accepted or split in two for the next wave.
     """
     grids = [p.initial_grid(a, b) for p in (path1, path2)]
     ts = np.unique(np.concatenate(grids))
-    out = []
+    out = [ts[-1:]]
     # on a positive span the floor is also relative to the parameter, so a
     # path rotating in log-time near a small endpoint can still be resolved
     finest = 2.0 ** (-MAX_REFINE_DEPTH)
     min_step = (b - a) * finest
-    stack = [(ts[i], ts[i + 1]) for i in range(len(ts) - 1)][::-1]
+    lo, hi = ts[:-1], ts[1:]
     guard = 0
-    while stack:
-        lo, hi = stack.pop()
-        guard += 1
+    while lo.size:
+        guard += lo.size
         if guard > 400000:
             raise ContinuityBudgetExceeded("refinement exploded; path too wild")
         mid = 0.5 * (lo + hi)
-        move = max(_pair_gap(path1, path2, lo, mid), _pair_gap(path1, path2, mid, hi))
-        if move <= budget:
-            out.append(lo)
-            out.append(mid)
-        elif hi - lo <= (min(min_step, lo * finest) if a > 0 else min_step):
+        # F[path, (lo, mid, hi)]: the gaps lo-mid and mid-hi of both paths
+        F = np.array([np.split(p.frames(np.concatenate([lo, mid, hi])), 3) for p in (path1, path2)])
+        shape = (-1,) + F.shape[-2:]
+        gaps = stacked_principal_sines(path1.space, F[:, :2].reshape(shape), F[:, 1:].reshape(shape))
+        move = gaps[:, -1].reshape(4, -1).max(axis=0)
+        ok = move <= budget
+        out += [lo[ok], mid[ok]]
+        floor = np.minimum(min_step, lo * finest) if a > 0 else min_step
+        stuck = np.flatnonzero(~ok & (hi - lo <= floor))
+        if stuck.size:
+            i = stuck[0]
             raise ContinuityBudgetExceeded(
-                f"movement {move:.3f} over step {hi - lo:.3e}")
-        else:
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-    out.append(b)
-    return np.array(out)
+                f"movement {move[i]:.3f} over step {hi[i] - lo[i]:.3e}")
+        lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
+    return np.sort(np.concatenate(out))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -341,6 +358,10 @@ def _count_small_sines(path1, path2, t, tol):
     return int(np.sum(s < tol))
 
 
+def _smallest_sines(path1, path2, ts):
+    return stacked_principal_sines(path1.space, path1.frames(ts), path2.frames(ts))[:, 0]
+
+
 def _locate_crossings(path1, path2, a, b, budget=CONTINUITY_BUDGET,
                       sine_tol=CROSSING_SINE_TOL):
     """Crossing instants in [a, b] as (t, multiplicity, local_scale) triples,
@@ -348,30 +369,41 @@ def _locate_crossings(path1, path2, a, b, budget=CONTINUITY_BUDGET,
     the crossing was found in; since refinement tracks the path speed it is
     the right yardstick for finite-difference steps at that crossing."""
     ts = _refined_grid(path1, path2, a, b, budget)
-    vals = np.array([_sine_min(path1, path2, t) for t in ts])
+    vals = _smallest_sines(path1, path2, ts)
     span = b - a
     xatol = max(LOCATE_REL_TOL * span, 1e-15)
     found = []
 
-    for t_end, nb_width in ((a, ts[1] - ts[0]), (b, ts[-1] - ts[-2])):
+    last = len(ts) - 1
+    crossing_ends = set()
+    for i, t_end, nb_width in ((0, a, ts[1] - ts[0]), (last, b, ts[-1] - ts[-2])):
         m = _count_small_sines(path1, path2, t_end, tol=min(sine_tol, 1e-7))
         if m > 0:
+            crossing_ends.add(i)
             found.append((t_end, m, float(nb_width)))
 
-    trigger = min(2.0 * budget, 0.5)
-    for i in range(1, len(ts) - 1):
-        if vals[i] > trigger:
+    # local minima of the sampled sine, each bracketed by its neighbours; a
+    # minimum at an end sample that is not itself a crossing brackets the
+    # one sample interval next to it.  A crossing can lie next to a sample
+    # only when the sine there is at most what both paths move over the
+    # interval: 2 budgets inside, the measured moves next to an end sample.
+    trigger = np.full(len(ts), min(2.0 * budget, 0.5))
+    for i, j in ((0, 1), (last, last - 1)):
+        trigger[i] = min(trigger[i], sum(gap_distance(p(ts[i]), p(ts[j])) for p in (path1, path2)))
+    for i in range(len(ts)):
+        if vals[i] > trigger[i] or i in crossing_ends:
             continue
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+        left, right = max(i - 1, 0), min(i + 1, last)
+        if vals[i] <= vals[left] and vals[i] <= vals[right]:
             t_star, _ = _golden_minimize(
                 lambda t: _sine_min(path1, path2, t),
-                ts[i - 1], ts[i + 1],
-                max(xatol, 8.0 * np.finfo(float).eps * max(abs(ts[i - 1]), abs(ts[i + 1]))))
+                ts[left], ts[right],
+                max(xatol, 8.0 * np.finfo(float).eps * max(abs(ts[left]), abs(ts[right]))))
             if min(t_star - a, b - t_star) < 10 * xatol:
-                continue  # endpoint crossing, handled above
+                continue  # at an endpoint: a crossing there is counted above
             m = _count_small_sines(path1, path2, t_star, tol=sine_tol)
             if m > 0:
-                found.append((t_star, m, float(ts[i + 1] - ts[i - 1])))
+                found.append((t_star, m, float(ts[right] - ts[left])))
 
     found.sort(key=lambda rec: rec[0])
     merged = []
@@ -385,8 +417,7 @@ def _locate_crossings(path1, path2, a, b, budget=CONTINUITY_BUDGET,
 
 
 def _persistent_intersection(path1, path2, a, b, sine_tol=CROSSING_SINE_TOL):
-    probe = np.linspace(a, b, 17)
-    hits = sum(_sine_min(path1, path2, t) < sine_tol for t in probe)
+    hits = int(np.sum(_smallest_sines(path1, path2, np.linspace(a, b, 17)) < sine_tol))
     return hits >= 9
 
 

@@ -35,6 +35,8 @@ from .errors import (
 from .maslov import LagrangianPath, maslov_clm
 from .sturm import SLProblem, fundamental_solution
 
+MAX_CELL_DEPTH = 12     # bisections of one spectral-flow cell whose margin count moves
+
 
 def _inertia_from_ldl(S: np.ndarray):
     """(n_minus, n_zero, n_plus) of a symmetric matrix via LDL^T."""
@@ -326,9 +328,12 @@ def spectral_flow(family, s_interval, window_gap: float = 1.0,
     """Net eigenvalue count crossing zero along the family, by partitioned
     counting: sum over cells of #[0, a_i] at the right end minus the left end.
 
-    The partition is refined until two consecutive refinements agree, which
-    realizes partition independence; counts use (-band, a_i] so that
-    eigenvalues inside the kernel band count as zero.
+    A cell counts only when as many eigenvalues lie below its margin a_i at
+    both ends; otherwise eigenvalues crossed the margin inside it, and it is
+    bisected, at most MAX_CELL_DEPTH times.  The partition is refined until
+    two consecutive refinements agree, which realizes partition
+    independence; counts use (-band, a_i] so that eigenvalues inside the
+    kernel band count as zero.
     """
     fam = family if isinstance(family, _FamilyCache) else _FamilyCache(family)
     s0, s1 = s_interval
@@ -336,11 +341,20 @@ def spectral_flow(family, s_interval, window_gap: float = 1.0,
 
     def flow_with(cells):
         ss = np.linspace(s0, s1, cells + 1)
+        stack = [(ss[i], ss[i + 1], 0) for i in range(cells)]
         total = 0
-        for i in range(cells):
-            left, right = fam(ss[i]), fam(ss[i + 1])
+        while stack:
+            lo, hi, depth = stack.pop()
+            left, right = fam(lo), fam(hi)
             a = _find_margin((left, right), window_gap, band)
-            total += right.count_in(-band, a) - left.count_in(-band, a)
+            if left.count_below(a) == right.count_below(a):
+                total += right.count_in(-band, a) - left.count_in(-band, a)
+            elif depth == MAX_CELL_DEPTH:
+                raise NoSpectralGap(
+                    f"eigenvalues still cross the margin {a:.3g} inside [{lo:.6g}, {hi:.6g}]")
+            else:
+                mid = 0.5 * (lo + hi)
+                stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
         return total
 
     cells = 8

@@ -19,7 +19,6 @@ quantity is a limit along truncations toward it.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field, replace
 
@@ -35,6 +34,7 @@ from .core import (
     graph_lagrangian,
     lagrangian_from_columns,
     neumann_frame,
+    stacked_lagrangian_frames,
 )
 from .errors import (
     BracketLimitDiverges,
@@ -211,7 +211,7 @@ class FundamentalSolution:
     matrix, so the flow is symplectic to roundoff; the symplectic residual is
     logged at every node and checked against the drift budget.  Evaluation
     between nodes is one partial Magnus step from the node on the base-point
-    side.
+    side, batched over all requested instants by ``matrices``.
 
     Drift bookkeeping is scale-free: the logged residual is
     max|M^T J M - J| / (1 + max|M|^2), which coincides with the absolute
@@ -243,7 +243,7 @@ class FundamentalSolution:
             if far != self.t0:
                 with np.errstate(over="ignore", invalid="ignore"):    # coarse steps may overflow
                     nodes, M = self._integrate(far)
-                self._branches[direction] = ((direction * nodes).tolist(), M)
+                self._branches[direction] = (direction * nodes, M)
                 self.steps[name] = len(nodes) - 1
 
     def _step_matrices(self, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
@@ -316,20 +316,33 @@ class FundamentalSolution:
                 f"normalized drift {res[worst]:.2e} at t={nodes[worst]:.3e}")
         return nodes, M
 
-    def matrix(self, t: float) -> np.ndarray:
+    def matrices(self, ts) -> np.ndarray:
+        """gamma(t) for every t in ts, stacked as (len(ts), 2n, 2n).
+
+        Each t's base node is the last node of its branch at or before t,
+        seen from t0; the partial Magnus steps from the base nodes to every
+        t off a node are taken in one batch.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
         c, d = self.span
-        if not (c - 1e-12 <= t <= d + 1e-12):
-            raise ValueError(f"t={t} outside the integrated span {self.span}")
-        t = min(max(float(t), c), d)
-        if t == self.t0:
-            return np.eye(self._J.shape[0])
-        direction = 1 if t > self.t0 else -1
-        keys, mats = self._branches[direction]
-        k = bisect.bisect_right(keys, direction * t) - 1
-        base, M = direction * keys[k], mats[k]
-        if base == t:
-            return M.copy()
-        return self._step_matrices(np.array([base]), np.array([t]))[0] @ M
+        outside = ~((c - 1e-12 <= ts) & (ts <= d + 1e-12))
+        if outside.any():
+            raise ValueError(f"t={ts[outside][0]} outside the integrated span {self.span}")
+        ts = np.clip(ts, c, d)
+        out = np.empty((len(ts),) + self._J.shape)
+        out[ts == self.t0] = np.eye(self._J.shape[0])
+        for direction, (keys, mats) in self._branches.items():
+            sel = np.flatnonzero(direction * (ts - self.t0) > 0)
+            k = np.searchsorted(keys, direction * ts[sel], side="right") - 1
+            base, M = direction * keys[k], mats[k]
+            off = base != ts[sel]
+            if off.any():
+                M[off] = self._step_matrices(base[off], ts[sel][off]) @ M[off]
+            out[sel] = M
+        return out
+
+    def matrix(self, t: float) -> np.ndarray:
+        return self.matrices([t])[0]
 
     def symplectic(self, t: float) -> SymplecticMatrix:
         return SymplecticMatrix(self.problem.space, self.matrix(t))
@@ -357,7 +370,10 @@ class FundamentalSolution:
         def fun(t):
             return lagrangian_from_columns(space, self.matrix(t) @ frame.frame)
 
-        return LagrangianPath(space, fun, lo, hi, samples=samples, grid=grid)
+        def many(ts):
+            return stacked_lagrangian_frames(space, self.matrices(ts) @ frame.frame)
+
+        return LagrangianPath(space, fun, lo, hi, samples=samples, grid=grid, many=many)
 
 
 def fundamental_solution(problem: SLProblem, t0: float, span: tuple,

@@ -84,18 +84,31 @@ class TestSpectralFlowCommand:
         assert rep["diagnostics"]["maslov"] == 3
         assert rep["diagnostics"]["agree"] is True
 
-    def test_route_disagreement_is_undetermined(self, capsys):
-        # at N = 512 the eigenvalue count sees 1 of the 5 crossings of
-        # -u'' - 300 s u (k pi < sqrt(300) for k = 1..5); the Maslov route
-        # finds all 5, so the verdict must not be either count
+    def test_fast_ramp_counts_every_crossing(self, capsys):
+        # -u'' - 300 s u has k pi < sqrt(300) for k = 1..5; its eigenvalues
+        # pass the spectral margin inside cells, so both routes must see 5
         code, out, _ = run_cli(["spectral-flow", "--problem", "free",
                                 "--ramp", "-300", "--N", "512"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == -5
+        assert rep["diagnostics"]["maslov"] == 5
+        assert rep["diagnostics"]["agree"] is True
+
+    def test_route_disagreement_is_undetermined(self, capsys, monkeypatch):
+        # a spectral-flow count of -1 against the Maslov route's 3 must give
+        # neither count as the verdict
+        import symind.spectral
+
+        monkeypatch.setattr(symind.spectral, "spectral_flow", lambda *args, **kwargs: -1)
+        code, out, _ = run_cli(["spectral-flow", "--problem", "free",
+                                "--ramp", "-100", "--N", "128"], capsys)
         assert code == EXIT_UNDETERMINED
         rep = json.loads(out)
         assert rep["verdict"] == UNDETERMINED
-        assert rep["diagnostics"]["maslov"] == 5
+        assert rep["diagnostics"]["maslov"] == 3
         assert rep["diagnostics"]["agree"] is False
-        assert "spectral flow -1" in rep["reason"] and "Maslov index 5" in rep["reason"]
+        assert "spectral flow -1" in rep["reason"] and "Maslov index 3" in rep["reason"]
 
 
 class TestRellichCommand:

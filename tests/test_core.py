@@ -21,6 +21,8 @@ from symind.core import (
     random_lagrangian,
     random_symplectic,
     rotation_matrix,
+    stacked_lagrangian_frames,
+    stacked_principal_sines,
     symplectic_residual,
 )
 from symind.errors import NotIsotropic, NotSymplectic, RankDeficient, SpaceMismatch
@@ -160,6 +162,35 @@ def test_principal_sines_detect_intersections():
     LN = neumann_frame(S2)
     assert np.allclose(principal_sines(LD, LN), 1.0)
     assert gap_distance(LD, LN) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_helpers_equal_the_scalar_ones(n):
+    space = SymplecticSpace.standard(n)
+    rng = np.random.default_rng(40 + n)
+    frames = [random_lagrangian(space, rng) for _ in range(7)]
+    # spanning columns of assorted scales: frames under random symplectic maps
+    cols = np.array([random_symplectic(space, rng, scale=0.5).entries @ F.frame
+                     for F in frames])
+    stacked = stacked_lagrangian_frames(space, cols)
+    for k in range(len(cols)):
+        assert np.array_equal(stacked[k], lagrangian_from_columns(space, cols[k]).frame)
+    A, B = stacked[:-1], stacked[1:]
+    sines = stacked_principal_sines(space, A, B)
+    for k in range(len(A)):
+        expected = principal_sines(LagrangianFrame(space, A[k]), LagrangianFrame(space, B[k]))
+        assert np.array_equal(sines[k], expected)
+
+
+def test_stacked_frames_raise_for_any_bad_member():
+    good = dirichlet_frame(S2).frame
+    tilted = good.copy()
+    tilted[2, 1] = 0.5            # (p1, p2 + q1/2) pairs nonzero under Omega
+    with pytest.raises(NotIsotropic):
+        stacked_lagrangian_frames(S2, np.array([good, tilted, good]))
+    flat = np.column_stack([good[:, 0], good[:, 0]])
+    with pytest.raises(RankDeficient):
+        stacked_lagrangian_frames(S2, np.array([good, good, flat]))
 
 
 def test_intersection_basis_lies_in_both():

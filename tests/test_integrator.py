@@ -1,5 +1,6 @@
 """The Magnus fundamental solution against high-precision oracles, and its
-symplectic invariant as a property.
+symplectic invariant as a property, and batched dense output against the
+one-instant lookup.
 
 Oracles: a Mathieu monodromy integrated by mpmath's Taylor-series ODE solver
 (Mathieu has no closed form); the Airy functions Ai(-t), Bi(-t) over a span of
@@ -7,6 +8,7 @@ about 1200 oscillations.  Property: M^T J M = J to roundoff for random smooth
 Hamiltonians in dimensions 1 to 3, on and between grid nodes.
 """
 
+import functools
 import math
 
 import mpmath
@@ -89,3 +91,23 @@ class TestSymplecticProperty:
         for t in np.concatenate([np.linspace(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 8)]):
             assert _scaled_residual(fs.matrix(t), J) <= 1e-12
         assert fs.max_drift() <= 1e-12
+
+
+@functools.cache
+def _two_sided_solution(dim):
+    """A fundamental solution based inside its span, so both branches exist."""
+    return fundamental_solution(_random_problem(dim, np.random.default_rng(dim)), 0.37, (0.0, 1.0))
+
+
+class TestBatchedDenseOutput:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 2), data=st.data())
+    def test_matrices_equal_stacked_matrix(self, dim, data):
+        fs = _two_sided_solution(dim)
+        nodes = [t for t, _ in fs.drift_log]
+        pick = st.one_of(st.floats(0.0, 1.0), st.sampled_from(nodes + [fs.t0, 0.0, 1.0]))
+        ts = data.draw(st.lists(pick, min_size=1, max_size=24))
+        ts = data.draw(st.permutations(ts + ts[: len(ts) // 3]))     # duplicates, shuffled
+        batched = fs.matrices(ts)
+        assert batched.shape == (len(ts), 2 * dim, 2 * dim)
+        assert np.array_equal(batched, np.array([fs.matrix(t) for t in ts]))

@@ -19,6 +19,7 @@ from symind.core import (
     SymplecticSpace,
     apply_symplectic,
     dirichlet_frame,
+    rotation_matrix,
     gap_distance,
     line_frame,
     neumann_frame,
@@ -27,7 +28,9 @@ from symind.core import (
 )
 from symind.errors import NotACrossing
 from symind.maslov import (
+    CONTINUITY_BUDGET,
     LagrangianPath,
+    _refined_grid,
     chart_coindex,
     crossing_form,
     hormander_index,
@@ -121,6 +124,18 @@ class TestMaslovClm:
         # a full-turn path must not be mistaken for a constant one: crossing
         # forms stay regular and positive
         assert all(r.inertia == InertiaTriple(1, 0, 0) for r in recs2)
+
+    @pytest.mark.parametrize("ahead", [5e-4, 1.0 - 5e-4])
+    def test_crossing_inside_an_edge_sample_interval(self, ahead):
+        # the reference lies 5e-4 rad past the start (or before the end) of
+        # a unit rotation, inside the first (last) of the 256 sample
+        # intervals, where the sampled sine is smallest at the end sample
+        base = line_frame(S1, [1.0, 0.0])
+        ref = LagrangianFrame(S1, rotation_matrix(S1, ahead) @ base.frame)
+        path = LagrangianPath.rotation(base, lambda t: t, 0.0, 1.0)
+        mu, recs = maslov_clm(path, LagrangianPath.constant(ref, 0.0, 1.0))
+        assert mu == 1
+        assert len(recs) == 1 and abs(recs[0].t - ahead) < 1e-9
 
     def test_path_additivity(self):
         rng = np.random.default_rng(21)
@@ -246,3 +261,31 @@ class TestHormander:
             s_triple = hormander_index(l1, l2, m1, m2)
             s_mu = hormander_via_maslov(l1, l2, m1, m2)
             assert s_triple == s_mu
+
+
+class TestRefinedGrid:
+    @pytest.mark.parametrize("n,seed", [(1, 30), (2, 31), (3, 32)])
+    def test_consecutive_samples_within_budget(self, n, seed):
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        L0, L1, L2, L3 = (random_lagrangian(space, rng) for _ in range(4))
+        paths = (LagrangianPath.connecting(L0, L1), LagrangianPath.connecting(L2, L3))
+        ts = _refined_grid(*paths, 0.0, 1.0)
+        assert ts[0] == 0.0 and ts[-1] == 1.0 and np.all(np.diff(ts) > 0)
+        for path in paths:
+            assert max(gap_distance(path(s), path(t))
+                       for s, t in zip(ts[:-1], ts[1:])) <= CONTINUITY_BUDGET
+
+    def test_fast_flow_is_refined_within_budget(self):
+        from symind.catalog import make_problem
+        from symind.sturm import fundamental_solution
+
+        # omega = 60 turns the flow line about 19 times across (0, 1), faster
+        # than the 256 initial samples resolve within budget
+        fs = fundamental_solution(make_problem("harmonic", omega=60.0), 0.0, (0.0, 1.0))
+        flow = fs.flow_path(dirichlet_frame(S1))
+        const = LagrangianPath.constant(neumann_frame(S1), 0.0, 1.0)
+        ts = _refined_grid(flow, const, 0.0, 1.0)
+        assert len(ts) > 256
+        assert max(gap_distance(flow(s), flow(t))
+                   for s, t in zip(ts[:-1], ts[1:])) <= CONTINUITY_BUDGET

@@ -16,7 +16,7 @@ from symind.core import (
     line_frame,
     rotation_matrix,
 )
-from symind.errors import GridTooCoarse, TransversalityViolated
+from symind.errors import GridTooCoarse, NoSpectralGap, TransversalityViolated
 from symind.spectral import (
     DiscreteOperator,
     EigenTrace,
@@ -103,6 +103,23 @@ class TestSpectralFlow:
                          c=lambda s, t: np.array([[-100.0 * s]]))
         fam = discretized_family(prob, "dirichlet", 256)
         assert spectral_flow(fam, (0.0, 1.0), window_gap=40.0) == -3
+
+    @pytest.mark.parametrize("R", [67.855, 68.0])
+    def test_eigenvalue_crossing_the_margin_inside_a_cell(self, R):
+        # -u'' - R s u with pi^2 < 4 pi^2 < R: over the 8 and 16 initial
+        # cells an eigenvalue passes the margin inside a cell, which the
+        # counts at the cell ends alone miss (they gave -1)
+        prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
+                         c=lambda s, t: np.array([[-R * s]]))
+        fam = discretized_family(prob, "dirichlet", 512)
+        assert spectral_flow(fam, (0.0, 1.0), window_gap=40.0) == -2
+
+    def test_margin_crossings_that_never_settle_raise(self):
+        # an eigenvalue jumps across every margin at s = 1/3, which no dyadic
+        # cell boundary reaches
+        fam = lambda s: synthetic_op([0.3 if s < 1.0 / 3.0 else 2.0, 5.0])
+        with pytest.raises(NoSpectralGap):
+            spectral_flow(fam, (0.0, 1.0), window_gap=0.75, kernel_band=1e-9)
 
     def test_partition_independence(self):
         fam = lambda s: synthetic_op([-2.0 + 3.0 * s, 1.5 - 3.0 * s, 6.0])
