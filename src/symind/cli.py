@@ -196,7 +196,7 @@ def cmd_spectral_flow(args) -> int:
     ramp = args.ramp
 
     def c(s, t):
-        return np.array([[ramp * s]])
+        return ramp * s * np.eye(base.dim)
 
     problem = SLProblem(base.dim, base.interval, base.p, base.q, base.r, c=c,
                         endpoints=base.endpoints, catalog=base.catalog,

@@ -164,18 +164,25 @@ class LagrangianPath:
         return cls(space, fun, 0.0, 1.0)
 
     def rotated(self, delta: float, a: float, b: float) -> "LagrangianPath":
-        """Endpoint-preserving J-rotation perturbation by a quadratic bump."""
+        """Endpoint-preserving J-rotation perturbation by a quadratic bump.
+
+        The perturbed path keeps this path's grid and samples in batches:
+        the bump rotations are stacked and applied to ``self.frames``.
+        """
         span = b - a
         J = self.space.form
         eye = np.eye(self.space.dim)
 
-        def fun(t):
-            rho = 4.0 * (t - a) * (b - t) / span ** 2
-            ang = delta * rho
-            R = np.cos(ang) * eye + np.sin(ang) * J
-            return LagrangianFrame(self.space, R @ self(t).frame)
+        def many(ts):
+            rho = 4.0 * (ts - a) * (b - ts) / span ** 2
+            ang = (delta * rho)[:, None, None]
+            return (np.cos(ang) * eye + np.sin(ang) * J) @ self.frames(ts)
 
-        return LagrangianPath(self.space, fun, self.a, self.b, self.samples)
+        def fun(t):
+            return LagrangianFrame(self.space, many(np.array([float(t)]))[0])
+
+        return LagrangianPath(self.space, fun, self.a, self.b, self.samples,
+                              grid=self.grid, many=many)
 
 
 # -- crossing forms ----------------------------------------------------------

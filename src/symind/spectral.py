@@ -2,12 +2,21 @@
 problems, inertia-based eigenvalue counting, spectral flow of operator
 families, the boundary Maslov-index identity, and ghost-eigenvalue scans.
 
-Eigenvalue counts below a shift use the inertia of (A - tau M) via a
-symmetric-indefinite LDL^T factorization; full spectra are computed only for
-eigenvalue traces.  Discrete Morse counting treats eigenvalues inside a kernel
-band around zero as zero; the default band scales like 1/N, covering the
-first-order consistency error of the boundary-condition elimination without
-touching the O(1) spectral gaps of the catalog problems.
+A discretized operator is the pencil (A, M) on the N interior nodes, stored
+as cyclic block-tridiagonal bands of n x n blocks: the stiffness A is block
+tridiagonal, the lumped mass M block diagonal.  Eliminating the boundary
+unknowns adds a 2n x 2n corner on the first and last interior blocks; for
+separated boundary conditions it is block diagonal, and only coupled ones
+(a periodic frame) join the first block to the last, which closes the bands
+into a cycle.  Eigenvalue counts below a shift tau are the negative pivots of
+one block Sturm-sequence LDL^T of A - tau M, in O(N); a cycle-closing block
+enters through Haynsworth inertia additivity.  Eigenvalues come from the
+banded symmetric eigensolver on the mass-scaled bands, or, when the corner
+couples the ends, from bisection on the same count.  Discrete Morse counting
+treats eigenvalues inside a kernel band around zero as zero; the default band
+scales like 1/N, covering the first-order consistency error of the
+boundary-condition elimination without touching the O(1) spectral gaps of the
+catalog problems.
 """
 
 from __future__ import annotations
@@ -36,63 +45,89 @@ from .maslov import LagrangianPath, maslov_clm
 from .sturm import SLProblem, fundamental_solution
 
 MAX_CELL_DEPTH = 12     # bisections of one spectral-flow cell whose margin count moves
+_TINY = 1e-300          # stands in for an exactly zero Sturm pivot
 
 
-def _inertia_from_ldl(S: np.ndarray):
-    """(n_minus, n_zero, n_plus) of a symmetric matrix via LDL^T."""
-    _, D, _ = sla.ldl(S)
-    n_minus = n_zero = n_plus = 0
-    i, m = 0, D.shape[0]
-    while i < m:
-        if i + 1 < m and abs(D[i, i + 1]) > 1e-14 * max(1.0, abs(D[i, i]), abs(D[i + 1, i + 1])):
-            block = D[i:i + 2, i:i + 2]
-            w = np.linalg.eigvalsh(0.5 * (block + block.T))
-            for lam in w:
-                if lam > 0:
-                    n_plus += 1
-                elif lam < 0:
-                    n_minus += 1
-                else:
-                    n_zero += 1
-            i += 2
-        else:
-            d = D[i, i]
-            if d > 0:
-                n_plus += 1
-            elif d < 0:
-                n_minus += 1
-            else:
-                n_zero += 1
-            i += 1
-    return n_minus, n_zero, n_plus
+def _sym(X: np.ndarray) -> np.ndarray:
+    return 0.5 * (X + np.swapaxes(X, -1, -2))
 
 
-def _count_below_tridiagonal(diag, off, tau, mdiag):
-    """Negative-pivot count of the Sturm-sequence LDL^T for a tridiagonal
-    pencil: O(N), the workhorse for scalar problems."""
-    d = diag - tau * mdiag
-    tiny = 1e-300
+def _negative_pivots(D: np.ndarray, E: np.ndarray) -> int:
+    """Number of negative eigenvalues of the symmetric cyclic block-tridiagonal
+    matrix S with diagonal blocks D[i] = S[i, i] and blocks E[i] = S[i+1, i]
+    below them, E[N-1] = S[0, N-1] the block that closes the cycle.
+
+    Blocks 0..N-2 are eliminated in order by the Sturm-sequence LDL^T; their
+    pivots are the inertia of the block-tridiagonal leading part X.  Block
+    column N-1 is carried along (W), so that Z ends as the Schur complement
+    S[N-1, N-1] - Y^T X^-1 Y, and In(S) = In(X) + In(Z) (Haynsworth).  With
+    E[N-1] = 0 this is the plain block Sturm sequence.  A zero pivot is
+    replaced by a tiny positive one.
+    """
+    if D.shape[-1] == 1:
+        return _negative_pivots_scalar(D[:, 0, 0].tolist(), E[:, 0, 0].tolist())
     count = 0
-    pivot = d[0]
-    if pivot == 0.0:
-        pivot = tiny
-    if pivot < 0:
-        count += 1
-    for i in range(1, len(d)):
-        pivot = d[i] - off[i - 1] ** 2 / pivot
-        if pivot == 0.0:
-            pivot = tiny
-        if pivot < 0:
+    P, W, Z = D[0], E[-1], D[-1]
+    for i in range(1, len(D) - 1):
+        Pinv, negative = _pivot_inverse(P)
+        count += negative
+        L = E[i - 1] @ Pinv
+        Z = Z - W.T @ Pinv @ W
+        W = -L @ W
+        P = D[i] - L @ E[i - 1].T
+    W = W + E[-2].T
+    Pinv, negative = _pivot_inverse(P)
+    return count + negative + _pivot_inverse(Z - W.T @ Pinv @ W)[1]
+
+
+def _pivot_inverse(P: np.ndarray):
+    """Inverse of a symmetric pivot block and its number of negative
+    eigenvalues; zero eigenvalues are taken as tiny positive ones."""
+    vals, vecs = np.linalg.eigh(P)
+    vals[vals == 0.0] = _TINY
+    return (vecs / vals) @ vecs.T, int(np.sum(vals < 0.0))
+
+
+def _negative_pivots_scalar(d: list, e: list) -> int:
+    """``_negative_pivots`` for 1 x 1 blocks, on lists of floats."""
+    count = 0
+    p, w, z = d[0], e[-1], d[-1]
+    for i in range(1, len(d) - 1):
+        if p == 0.0:
+            p = _TINY
+        if p < 0.0:
             count += 1
-    return count
+        l = e[i - 1] / p
+        if w:
+            z -= w * w / p
+            w = -l * w
+        p = d[i] - l * e[i - 1]
+    w += e[-2]
+    if p == 0.0:
+        p = _TINY
+    if p < 0.0:
+        count += 1
+    z -= w * w / p
+    return count + (z < 0.0)
+
+
+def _bands(D: np.ndarray, E: np.ndarray, corner: np.ndarray | None = None) -> np.ndarray:
+    """Cyclic bands (2, N, n, n) from N diagonal blocks and the N - 1 blocks
+    below them; ``corner`` is the block (0, N-1), zero when omitted."""
+    last = np.zeros_like(D[:1]) if corner is None else corner[None]
+    return np.stack([D, np.concatenate([E, last])])
 
 
 @dataclass
 class DiscreteOperator:
     """Symmetric finite-dimensional surrogate of a boundary value problem.
 
-    ``matrix`` is the quadratic-form matrix, ``mass`` the (lumped) L^2 mass;
-    eigenvalue statements are about the pencil (matrix, mass).
+    ``matrix`` holds the quadratic-form matrix and ``mass`` the L^2 mass as
+    cyclic bands of shape (2, N, n, n): ``[0, i]`` is the diagonal block i,
+    ``[1, i]`` the block (i + 1, i) below it, and ``[1, N-1]`` the block
+    (0, N-1), nonzero only when the boundary condition couples the ends.
+    The mass has no blocks off the diagonal but that one.  Eigenvalue
+    statements are about the pencil (matrix, mass).
     """
 
     problem: SLProblem
@@ -102,20 +137,21 @@ class DiscreteOperator:
     matrix: np.ndarray
     mass: np.ndarray
     _count_cache: dict = field(default_factory=dict, repr=False)
-    _tridiag: tuple | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        A, M = self.matrix, self.mass
-        if A.shape[0] > 2 and np.allclose(M, np.diag(np.diag(M)), atol=0.0):
-            band = np.triu(A, 2)
-            if not np.any(band):
-                self._tridiag = (np.diag(A).copy(), np.diag(A, 1).copy(),
-                                 np.diag(M).copy())
 
     @property
     def h(self) -> float:
         c, d = self.span
         return (d - c) / (self.grid_size + 1)
+
+    @property
+    def size(self) -> int:
+        """Number of unknowns, n N."""
+        return self.matrix.shape[1] * self.matrix.shape[2]
+
+    @property
+    def coupled(self) -> bool:
+        """Whether the bands close into a cycle (first block joined to the last)."""
+        return bool(np.any(self.matrix[1, -1]) or np.any(self.mass[1, -1]))
 
     def default_zero_band(self) -> float:
         c, d = self.span
@@ -125,12 +161,8 @@ class DiscreteOperator:
         """#{eigenvalues < tau} of the pencil, by inertia of (A - tau M)."""
         key = float(tau)
         if key not in self._count_cache:
-            if self._tridiag is not None:
-                diag, off, mdiag = self._tridiag
-                self._count_cache[key] = _count_below_tridiagonal(diag, off, key, mdiag)
-            else:
-                n_minus, _, _ = _inertia_from_ldl(self.matrix - tau * self.mass)
-                self._count_cache[key] = n_minus
+            S = self.matrix - key * self.mass
+            self._count_cache[key] = _negative_pivots(S[0], S[1])
         return self._count_cache[key]
 
     def count_in(self, lo: float, hi: float) -> int:
@@ -141,11 +173,53 @@ class DiscreteOperator:
         return self.count_below(-band)
 
     def eigenvalues(self, k: int | None = None) -> np.ndarray:
-        if k is None:
-            return sla.eigh(self.matrix, self.mass, eigvals_only=True)
-        k = min(k, self.matrix.shape[0])
-        return sla.eigh(self.matrix, self.mass, eigvals_only=True,
-                        subset_by_index=[0, k - 1])
+        """The lowest k eigenvalues of the pencil (all when k is None), ascending."""
+        k = self.size if k is None else min(k, self.size)
+        if self.coupled:
+            return self._bisect(k)
+        # LAPACK's whole-spectrum driver is about 20x faster than selecting all
+        return sla.eigvals_banded(self._scaled_band(), lower=True,
+                                  select="a" if k == self.size else "i",
+                                  select_range=(0, k - 1))
+
+    def _scaled_band(self) -> np.ndarray:
+        """L^-1 A L^-T in LAPACK lower band form (2n rows), L L^T = M the
+        block-diagonal mass."""
+        Linv = np.linalg.inv(np.linalg.cholesky(self.mass[0]))
+        LinvT = np.swapaxes(Linv, 1, 2)
+        D = Linv @ self.matrix[0] @ LinvT
+        E = Linv[1:] @ self.matrix[1, :-1] @ LinvT[:-1]
+        N, n = D.shape[:2]
+        ab = np.zeros((2 * n, N * n))
+        for a in range(n):
+            for b in range(n):
+                if a >= b:
+                    ab[a - b, b::n] = D[:, a, b]
+                ab[n + a - b, b:n * (N - 1):n] = E[:, a, b]
+        return ab
+
+    def _bisect(self, k: int) -> np.ndarray:
+        """The lowest k eigenvalues by bisection on ``count_below``, to a few
+        ulps of the bracketing scale; every count taken narrows later
+        brackets through the count cache."""
+        lo, hi = -1.0, 1.0
+        while self.count_below(lo) > 0:
+            lo *= 2.0
+        while self.count_below(hi) < k:
+            hi *= 2.0
+        tol = 4.0 * np.finfo(float).eps * max(-lo, hi)
+        out = []
+        for j in range(k):
+            a = max(t for t, c in self._count_cache.items() if c <= j)
+            b = min(t for t, c in self._count_cache.items() if c > j)
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                if self.count_below(mid) <= j:
+                    a = mid
+                else:
+                    b = mid
+            out.append(0.5 * (a + b))
+        return np.array(out)
 
 
 def _resolve_discrete_bc(problem, bc):
@@ -168,8 +242,8 @@ def _resolve_discrete_bc(problem, bc):
 
 def discretize(problem: SLProblem, bc, N: int, s: float | None = None,
                span: tuple | None = None) -> DiscreteOperator:
-    """Second-order central differences with midpoint P sampling; boundary
-    conditions are eliminated against the Lagrangian frame's kernel
+    """Second-order central differences with midpoint P and Q sampling;
+    boundary conditions are eliminated against the Lagrangian frame's kernel
     description.  Requires the span to be regular (truncate singular problems
     first)."""
     if N < 16:
@@ -178,95 +252,56 @@ def discretize(problem: SLProblem, bc, N: int, s: float | None = None,
     c, d = problem.interval if span is None else span
     h = (d - c) / (N + 1)
     nodes = c + h * np.arange(N + 2)
+    P, Q, R = problem.stacked_coefficients(
+        np.concatenate([nodes, c + h * (np.arange(N + 1) + 0.5)]), s)
+    Pm = P[N + 2:] / h                                   # P / h at the midpoints
+    Sm = Q[N + 2:] + np.swapaxes(Q[N + 2:], 1, 2)        # Q + Q^T at the midpoints
+    w = np.ones(N + 2)
+    w[[0, -1]] = 0.5
 
-    Pm = [problem.coefficients(c + h * (i + 0.5), s)[0] for i in range(N + 1)]
-    QR = [problem.coefficients(t, s)[1:] for t in nodes]
-    total = n * (N + 2)
-
-    F = np.zeros((total, total))
-    for i in range(N + 1):
-        Pi = Pm[i] / h
-        sl_i = slice(n * i, n * (i + 1))
-        sl_j = slice(n * (i + 1), n * (i + 2))
-        F[sl_i, sl_i] += Pi
-        F[sl_j, sl_j] += Pi
-        F[sl_i, sl_j] -= Pi
-        F[sl_j, sl_i] -= Pi
-        # cross term int <x, (Q + Q^T) x'>, telescoping midpoint treatment
-        Qm = problem.coefficients(c + h * (i + 0.5), s)[1]
-        Smid = Qm + Qm.T
-        F[sl_j, sl_j] += 0.5 * Smid
-        F[sl_i, sl_i] -= 0.5 * Smid
-
-    Mass = np.zeros((total, total))
-    for i in range(N + 2):
-        w = 0.5 if i in (0, N + 1) else 1.0
-        sl = slice(n * i, n * (i + 1))
-        R_i = QR[i][1]
-        F[sl, sl] += w * h * R_i
-        Mass[sl, sl] = w * h * np.eye(n)
-
-    frame = _resolve_discrete_bc(problem, bc)
-    keep = slice(n, n * (N + 1))
-
-    if isinstance(bc, str) and bc == "dirichlet":
-        A = F[keep, keep]
-        M = Mass[keep, keep]
-        return DiscreteOperator(problem, bc, N, (c, d), 0.5 * (A + A.T), M)
+    # stiffness over all N + 2 nodes: diagonal blocks F and F[i+1, i] = -P/h;
+    # the cross term int <x, (Q + Q^T) x'> takes the telescoping midpoint form
+    F = np.zeros((N + 2, n, n))
+    F[1:] += Pm
+    F[1:] += 0.5 * Sm
+    F[:-1] += Pm
+    F[:-1] -= 0.5 * Sm
+    F += w[:, None, None] * h * R[:N + 2]
 
     # boundary data beta(y) = (p_a, x_0, p_b, x_{N+1}) with one-sided
     # quasi-derivatives; membership in the frame is F^T Jprod beta = 0
-    Pa, Qa, _ = problem.coefficients(nodes[0], s)
-    Pb, Qb, _ = problem.coefficients(nodes[-1], s)
+    frame = _resolve_discrete_bc(problem, bc)
+    Pa, Qa, Pb, Qb = P[0] / h, Q[0], P[N + 1] / h, Q[N + 1]
     Cmat = frame.frame.T @ frame.space.form   # (2n) x (4n), annihilates the frame
 
     # the operator's quadratic form carries the boundary term
     # <p_a, q_a> - <p_b, q_b>; it is symmetric on the constraint set exactly
     # because the frame is Lagrangian, and vanishes for Dirichlet/Neumann data
-    sl0, sl1 = slice(0, n), slice(n, 2 * n)
-    slN, slE = slice(n * N, n * (N + 1)), slice(n * (N + 1), n * (N + 2))
-    F[sl0, sl0] += -Pa / h + 0.5 * (Qa + Qa.T)
-    F[sl0, sl1] += 0.5 * Pa / h
-    F[sl1, sl0] += 0.5 * Pa / h
-    F[slE, slE] += -Pb / h - 0.5 * (Qb + Qb.T)
-    F[slE, slN] += 0.5 * Pb / h
-    F[slN, slE] += 0.5 * Pb / h
+    Z, I = np.zeros((n, n)), np.eye(n)
+    F_bb = sla.block_diag(F[0] - Pa + 0.5 * (Qa + Qa.T), F[-1] - Pb - 0.5 * (Qb + Qb.T))
+    F_bi = sla.block_diag(-Pm[0] + 0.5 * Pa, -Pm[-1] + 0.5 * Pb)
 
     # beta = B_bnd (x_0; x_{N+1}) + B_int (x_1; x_N)
-    Z = np.zeros((n, n))
-    B_bnd = np.block([
-        [-Pa / h + Qa, Z],
-        [np.eye(n), Z],
-        [Z, Pb / h + Qb],
-        [Z, np.eye(n)],
-    ])
-    B_int = np.block([
-        [Pa / h, Z],
-        [Z, Z],
-        [Z, -Pb / h],
-        [Z, Z],
-    ])
+    B_bnd = np.block([[-Pa + Qa, Z], [I, Z], [Z, Pb + Qb], [Z, I]])
+    B_int = np.block([[Pa, Z], [Z, Z], [Z, -Pb], [Z, Z]])
     C_bnd = Cmat @ B_bnd
     C_int = Cmat @ B_int
     if np.linalg.cond(C_bnd) > 1e10:
         raise BCEliminationSingular("cannot solve for the boundary unknowns")
     G = -np.linalg.solve(C_bnd, C_int)   # (x_0; x_{N+1}) = G (x_1; x_N)
 
-    # eliminate the boundary blocks: since F couples x_0/x_{N+1} only to
-    # x_1/x_N, substituting them back is a local correction at those blocks
-    A = F[keep, keep].copy()
-    M = Mass[keep, keep].copy()
-    bidx = np.r_[np.arange(n), np.arange(n * (N + 1), n * (N + 2))]
-    iidx = np.r_[np.arange(n, 2 * n), np.arange(n * N, n * (N + 1))]
-    F_bb = F[np.ix_(bidx, bidx)]
-    F_bi = F[np.ix_(bidx, iidx)]
-    M_bb = Mass[np.ix_(bidx, bidx)]
-    local = G.T @ F_bi + F_bi.T @ G + G.T @ F_bb @ G
-    mass_local = G.T @ M_bb @ G
-    loc = np.r_[np.arange(n), np.arange(n * (N - 1), n * N)]
-    A[np.ix_(loc, loc)] += local
-    M[np.ix_(loc, loc)] += mass_local
-    return DiscreteOperator(problem, bc, N, (c, d), 0.5 * (A + A.T), 0.5 * (M + M.T))
+    # F couples x_0 / x_{N+1} only to x_1 / x_N, so substituting them is a
+    # 2n x 2n corner on the first and last interior blocks
+    corner = _sym(G.T @ F_bi + F_bi.T @ G + G.T @ F_bb @ G)
+    mass_corner = _sym(0.5 * h * G.T @ G)
+    D, M = F[1:-1], np.repeat(h * I[None], N, axis=0)
+    D[0] += corner[:n, :n]
+    D[-1] += corner[n:, n:]
+    M[0] += mass_corner[:n, :n]
+    M[-1] += mass_corner[n:, n:]
+    return DiscreteOperator(problem, bc, N, (c, d),
+                            _bands(_sym(D), -_sym(Pm[1:-1]), corner[:n, n:]),
+                            _bands(M, np.zeros((N - 1, n, n)), mass_corner[:n, n:]))
 
 
 def discretize_neumann_ghost(problem: SLProblem, N: int, span: tuple | None = None) -> DiscreteOperator:
@@ -278,22 +313,13 @@ def discretize_neumann_ghost(problem: SLProblem, N: int, span: tuple | None = No
         raise ValueError("ghost-point comparison implemented for scalar problems")
     c, d = problem.interval if span is None else span
     h = (d - c) / (N + 1)
-    nodes = c + h * np.arange(N + 2)
-    total = N + 2
-    A = np.zeros((total, total))
-    M = np.zeros((total, total))
-    for i in range(total):
-        P = problem.coefficients(nodes[i])[0][0, 0]
-        R = problem.coefficients(nodes[i])[2][0, 0]
-        w = 0.5 if i in (0, total - 1) else 1.0
-        if i > 0:
-            A[i, i - 1] -= P / h
-        if i < total - 1:
-            A[i, i + 1] -= P / h
-        A[i, i] += (2.0 if 0 < i < total - 1 else 1.0) * P / h
-        A[i, i] += w * h * R
-        M[i, i] = w * h
-    return DiscreteOperator(problem, "neumann-ghost", N, (c, d), 0.5 * (A + A.T), M)
+    P, _, R = problem.stacked_coefficients(c + h * np.arange(N + 2))
+    w = np.ones((N + 2, 1, 1))
+    w[[0, -1]] = 0.5
+    A = 2.0 * w * P / h + w * h * R
+    return DiscreteOperator(problem, "neumann-ghost", N, (c, d),
+                            _bands(A, -0.5 * (P[1:] / h + P[:-1] / h)),
+                            _bands(w * h, np.zeros((N + 1, 1, 1))))
 
 
 # -- spectral flow -------------------------------------------------------------
@@ -534,16 +560,14 @@ def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512,
 
 @dataclass
 class EigenTrace:
-    """Lowest-m spectra along a parameter grid with index pairings.
+    """Lowest-m spectra along a parameter grid, sorted at each parameter.
 
-    Spectra are sorted, so the pairing between consecutive parameters is the
-    identity on tracked indices; the tracked window is widened until it
-    contains every eigenvalue in [-gap, gap] at each parameter.
+    The tracked window is widened until it contains every eigenvalue in
+    [-gap, gap] at each parameter.
     """
 
     s_grid: np.ndarray
     eigenvalues: np.ndarray          # (len(s_grid), m)
-    pairings: np.ndarray             # (len(s_grid) - 1, m) index maps
 
     @staticmethod
     def collect(family, s_values, m: int = 6, gap: float | None = None) -> "EigenTrace":
@@ -554,13 +578,11 @@ class EigenTrace:
             k = m
             w = op.eigenvalues(k=k)
             if gap is not None:
-                while w[-1] < gap and k < op.matrix.shape[0]:
-                    k = min(2 * k, op.matrix.shape[0])
+                while w[-1] < gap and k < op.size:
+                    k = min(2 * k, op.size)
                     w = op.eigenvalues(k=k)
             rows.append(w[:m])
-        eig = np.array(rows)
-        pair = np.tile(np.arange(eig.shape[1]), (len(s_values) - 1, 1))
-        return EigenTrace(np.asarray(s_values, float), eig, pair)
+        return EigenTrace(np.asarray(s_values, float), np.array(rows))
 
     def to_csv(self, path):
         m = self.eigenvalues.shape[1]

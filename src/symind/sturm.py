@@ -111,6 +111,11 @@ class SLProblem:
             R = R + np.atleast_2d(np.asarray(self.c(s, t), dtype=float)).reshape(self.dim, self.dim)
         return P, Q, R
 
+    def stacked_coefficients(self, ts, s=None):
+        """(P, Q, R) at every t in ts, each stacked as a (len(ts), n, n)
+        array; one ``coefficients`` call per instant."""
+        return tuple(np.array(block) for block in zip(*(self.coefficients(t, s) for t in ts)))
+
     def at_parameter(self, s: float) -> "SLProblem":
         """Freeze the perturbation at parameter s into the zero-order term."""
         if self.c is None or s == 0:
@@ -134,11 +139,11 @@ def hamiltonians(problem: SLProblem, ts, s: float | None = None) -> np.ndarray:
     """H(t) for every t in ts, stacked as a (len(ts), 2n, 2n) array, so that
     l x = 0 is z' = J H(t) z.
 
-    The coefficients are sampled node by node and stacked; P is inverted in
-    one batch.  CoefficientSingular when P is not invertible at some node.
+    The coefficients are sampled by ``stacked_coefficients``; P is inverted
+    in one batch.  CoefficientSingular when P is not invertible at some node.
     """
     n = problem.dim
-    P, Q, R = (np.array(block) for block in zip(*(problem.coefficients(t, s) for t in ts)))
+    P, Q, R = problem.stacked_coefficients(ts, s)
     try:
         Pinv = np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:

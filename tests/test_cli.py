@@ -111,6 +111,24 @@ class TestSpectralFlowCommand:
         assert "spectral flow -1" in rep["reason"] and "Maslov index 3" in rep["reason"]
 
 
+    def test_two_dimensional_coefficient_table(self, capsys, tmp_path):
+        # -(P x')' - 30 s x with P = diag(1, 2) on (0, 1), Dirichlet: pi^2 < 30
+        # and 2 pi^2 < 30, one crossing in each component
+        t = np.linspace(0.0, 1.0, 11)
+        one, zero = np.ones_like(t), np.zeros_like(t)
+        columns = {"t": t, "P_11": one, "P_12": zero, "P_21": zero, "P_22": 2.0 * one}
+        columns.update({f"{X}_{i}{j}": zero for X in "QR" for i in (1, 2) for j in (1, 2)})
+        table = tmp_path / "coefficients.csv"
+        np.savetxt(table, np.column_stack(list(columns.values())), delimiter=",",
+                   header=",".join(columns), comments="")
+        code, out, _ = run_cli(["spectral-flow", "--problem", str(table), "--dim", "2",
+                                "--ramp", "-30", "--N", "128"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == -2
+        assert rep["diagnostics"]["maslov"] == 2
+
+
 class TestRellichCommand:
     def test_scan(self, capsys):
         code, out, _ = run_cli(["rellich", "--q", "0", "--N", "256",

@@ -289,3 +289,23 @@ class TestRefinedGrid:
         assert len(ts) > 256
         assert max(gap_distance(flow(s), flow(t))
                    for s, t in zip(ts[:-1], ts[1:])) <= CONTINUITY_BUDGET
+
+
+class TestRotatedPath:
+    def test_rotated_flow_keeps_grid_and_batched_sampler(self):
+        from symind.catalog import make_problem
+        from symind.sturm import fundamental_solution
+
+        span = (1e-4, 1.0)
+        fs = fundamental_solution(make_problem("bessel", q=0.1, interval=span), 1.0, span)
+        path = fs.flow_path(dirichlet_frame(S1))
+        rotated = path.rotated(1e-6, *span)
+        assert path.grid is not None and np.array_equal(rotated.grid, path.grid)
+        ts = rotated.initial_grid(*span)[::5]
+        batched = rotated.frames(ts)
+        fresh = path.rotated(1e-6, *span)
+        assert np.array_equal(batched, np.array([fresh(t).frame for t in ts]))
+        # the bump vanishes at the ends and moves the frames by at most delta
+        base = path.frames(ts)
+        assert np.array_equal(batched[[0, -1]], base[[0, -1]])
+        assert 0.0 < np.max(np.abs(batched - base)) <= 1e-6

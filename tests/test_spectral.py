@@ -7,9 +7,11 @@ Dirichlet/Neumann/mixed conditions; synthetic diagonal families.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from symind.catalog import make_problem
 from symind.core import (
+    LagrangianFrame,
     SymplecticSpace,
     dirichlet_frame,
     direct_sum_frame,
@@ -20,6 +22,7 @@ from symind.errors import GridTooCoarse, NoSpectralGap, TransversalityViolated
 from symind.spectral import (
     DiscreteOperator,
     EigenTrace,
+    _resolve_discrete_bc,
     discretize,
     discretize_neumann_ghost,
     discretized_family,
@@ -34,8 +37,98 @@ S1 = SymplecticSpace.standard(1)
 
 
 def synthetic_op(diagonal, span=(0.0, 1.0)):
-    d = np.asarray(diagonal, dtype=float)
-    return DiscreteOperator(None, "synthetic", len(d), span, np.diag(d), np.eye(len(d)))
+    d = np.asarray(diagonal, dtype=float).reshape(-1, 1, 1)
+    off = np.zeros_like(d)
+    return DiscreteOperator(None, "synthetic", len(d), span,
+                            np.stack([d, off]), np.stack([np.ones_like(d), off]))
+
+
+def dense_from_bands(bands):
+    """The dense matrix of cyclic block-tridiagonal bands (2, N, n, n)."""
+    _, N, n, _ = bands.shape
+    S = np.zeros((N * n, N * n))
+    for i in range(N):
+        j = (i + 1) % N
+        S[n * i:n * (i + 1), n * i:n * (i + 1)] += bands[0, i]
+        S[n * j:n * (j + 1), n * i:n * (i + 1)] += bands[1, i]
+        S[n * i:n * (i + 1), n * j:n * (j + 1)] += bands[1, i].T
+    return S
+
+
+def dense_reference(problem, bc, N, s=None):
+    """The dense assembly the bands replace: stiffness and mass over all
+    N + 2 nodes, then the boundary unknowns eliminated against the frame.
+    Returns the n N-square stiffness and mass matrices."""
+    n = problem.dim
+    c, d = problem.interval
+    h = (d - c) / (N + 1)
+    nodes = c + h * np.arange(N + 2)
+    total = n * (N + 2)
+    F = np.zeros((total, total))
+    Mass = np.zeros((total, total))
+    for i in range(N + 1):
+        Pm, Qm, _ = problem.coefficients(c + h * (i + 0.5), s)
+        Pi, Smid = Pm / h, Qm + Qm.T
+        sl_i, sl_j = slice(n * i, n * (i + 1)), slice(n * (i + 1), n * (i + 2))
+        F[sl_i, sl_i] += Pi - 0.5 * Smid
+        F[sl_j, sl_j] += Pi + 0.5 * Smid
+        F[sl_i, sl_j] -= Pi
+        F[sl_j, sl_i] -= Pi
+    for i in range(N + 2):
+        w = 0.5 if i in (0, N + 1) else 1.0
+        sl = slice(n * i, n * (i + 1))
+        F[sl, sl] += w * h * problem.coefficients(nodes[i], s)[2]
+        Mass[sl, sl] = w * h * np.eye(n)
+
+    frame = _resolve_discrete_bc(problem, bc)
+    Pa, Qa, _ = problem.coefficients(nodes[0], s)
+    Pb, Qb, _ = problem.coefficients(nodes[-1], s)
+    sl0, sl1 = slice(0, n), slice(n, 2 * n)
+    slN, slE = slice(n * N, n * (N + 1)), slice(n * (N + 1), n * (N + 2))
+    F[sl0, sl0] += -Pa / h + 0.5 * (Qa + Qa.T)
+    F[sl0, sl1] += 0.5 * Pa / h
+    F[sl1, sl0] += 0.5 * Pa / h
+    F[slE, slE] += -Pb / h - 0.5 * (Qb + Qb.T)
+    F[slE, slN] += 0.5 * Pb / h
+    F[slN, slE] += 0.5 * Pb / h
+    Z, I = np.zeros((n, n)), np.eye(n)
+    B_bnd = np.block([[-Pa / h + Qa, Z], [I, Z], [Z, Pb / h + Qb], [Z, I]])
+    B_int = np.block([[Pa / h, Z], [Z, Z], [Z, -Pb / h], [Z, Z]])
+    Cmat = frame.frame.T @ frame.space.form
+    G = -np.linalg.solve(Cmat @ B_bnd, Cmat @ B_int)
+
+    keep = slice(n, n * (N + 1))
+    bidx = np.r_[np.arange(n), np.arange(n * (N + 1), n * (N + 2))]
+    iidx = np.r_[np.arange(n, 2 * n), np.arange(n * N, n * (N + 1))]
+    loc = np.r_[np.arange(n), np.arange(n * (N - 1), n * N)]
+    A, M = F[keep, keep].copy(), Mass[keep, keep].copy()
+    F_bi = F[np.ix_(bidx, iidx)]
+    A[np.ix_(loc, loc)] += G.T @ F_bi + F_bi.T @ G + G.T @ F[np.ix_(bidx, bidx)] @ G
+    M[np.ix_(loc, loc)] += G.T @ Mass[np.ix_(bidx, bidx)] @ G
+    return 0.5 * (A + A.T), 0.5 * (M + M.T)
+
+
+def periodic_frame(n):
+    """(p, x) at a equal to (p, x) at b: couples the two ends."""
+    return LagrangianFrame(SymplecticSpace.minus_plus(n, n),
+                           np.vstack([np.eye(2 * n), np.eye(2 * n)]) / np.sqrt(2.0))
+
+
+def rotated_separated_frame(n):
+    left = rotation_matrix(SymplecticSpace.standard(n), 0.4) @ dirichlet_frame(
+        SymplecticSpace.standard(n)).frame
+    right = rotation_matrix(SymplecticSpace.standard(n), -1.1) @ dirichlet_frame(
+        SymplecticSpace.standard(n)).frame
+    return direct_sum_frame(left, right)
+
+
+def coupled_dim2_problem():
+    """dim 2 with t-dependent P, nonzero non-symmetric Q and a coupling R."""
+    return SLProblem(
+        2, (0.0, 1.0),
+        lambda t: np.array([[1.5 + t, 0.3], [0.3, 1.0 + t * t]]),
+        lambda t: np.array([[0.4 * t, 0.7], [-0.2, 0.1]]),
+        lambda t: np.array([[-30.0, 4.0 * t], [4.0 * t, -12.0 + 5.0 * t]]))
 
 
 class TestDiscretize:
@@ -84,7 +177,63 @@ class TestDiscretize:
     def test_matrix_symmetric(self):
         prob = make_problem("mathieu", a=1.0, q=0.3)
         op = discretize(prob, "neumann", 64)
-        assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
+        assert op.matrix.shape == op.mass.shape == (2, 64, 1, 1)
+        A = dense_from_bands(op.matrix)
+        assert np.max(np.abs(A - A.T)) < 1e-12
+
+
+CASES = [
+    (lambda: make_problem("harmonic", omega=7.0), "dirichlet"),
+    (lambda: make_problem("mathieu", a=-2.0, q=0.6), "neumann"),
+    (lambda: make_problem("mathieu", a=-2.0, q=0.6), rotated_separated_frame(1)),
+    (lambda: make_problem("harmonic", omega=9.0), periodic_frame(1)),
+    (coupled_dim2_problem, "dirichlet"),
+    (coupled_dim2_problem, "neumann"),
+    (coupled_dim2_problem, rotated_separated_frame(2)),
+    (coupled_dim2_problem, periodic_frame(2)),
+]
+CASE_IDS = ["dirichlet", "neumann", "rotated", "periodic",
+            "dim2-dirichlet", "dim2-neumann", "dim2-rotated", "dim2-periodic"]
+
+
+class TestBands:
+    """The bands against the dense assembly they replace."""
+
+    @pytest.mark.parametrize("make, bc", CASES, ids=CASE_IDS)
+    def test_bands_reproduce_the_dense_assembly(self, make, bc):
+        prob = make()
+        op = discretize(prob, bc, 40)
+        A, M = dense_reference(prob, bc, 40)
+        for bands, dense in ((op.matrix, A), (op.mass, M)):
+            assert bands.shape == (2, 40, prob.dim, prob.dim)
+            assert np.max(np.abs(dense_from_bands(bands) - dense)) <= 1e-12 * np.max(np.abs(dense))
+        assert op.coupled == (bc is CASES[3][1] or bc is CASES[7][1])
+
+    @pytest.mark.parametrize("make, bc", CASES, ids=CASE_IDS)
+    def test_count_below_matches_the_dense_spectrum(self, make, bc):
+        prob = make()
+        op = discretize(prob, bc, 48)
+        w = sla.eigh(*dense_reference(prob, bc, 48), eigvals_only=True)
+        # shifts between the eigenvalues, at most 1e-3 relative from none
+        taus = [w[0] - 1.0, 0.0, 0.5 * (w[2] + w[3]), 0.5 * (w[7] + w[8]), w[-1] + 1.0]
+        taus += list(w[[1, 5, 20]] + 1e-3 * np.maximum(1.0, np.abs(w[[1, 5, 20]])))
+        for tau in taus:
+            assert op.count_below(tau) == int(np.sum(w < tau)), tau
+        assert np.allclose(op.eigenvalues(k=6), w[:6], rtol=1e-9, atol=1e-9)
+        if not op.coupled:   # bisection over the whole spectrum takes seconds
+            assert np.allclose(op.eigenvalues(), w, rtol=1e-9, atol=1e-9 * np.max(np.abs(w)))
+
+    def test_zero_pivot_counts_as_positive(self):
+        # diag(0, 1, -1): the exactly zero first pivot is taken as +tiny
+        op = synthetic_op([0.0, 1.0, -1.0])
+        assert op.count_below(0.0) == 1
+
+    def test_dirichlet_morse_count_at_100k_nodes(self):
+        # the dense pencil would need about 80 GB; (k pi)^2 < 100 for k = 1, 2, 3
+        op = discretize(make_problem("harmonic", omega=10.0), "dirichlet", 100_000)
+        assert op.matrix.nbytes + op.mass.nbytes == 4 * 100_000 * 8
+        assert op.morse_count() == 3
+        assert op.count_below(-100.0 + 6.25 * np.pi ** 2) == 2   # between k = 2 and 3
 
 
 class TestSpectralFlow:
