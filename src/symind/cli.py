@@ -4,14 +4,12 @@ emission.
 Exit codes: 0 for a computed verdict (including Infinite), 2 for an
 Undetermined verdict, 1 for any error.  Reports are deterministic JSON
 (no timestamps); identical configurations produce byte-identical files.
-The environment variable SYMIND_TOL overrides the default tolerance family.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,19 +24,6 @@ EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
 _CATALOG_NAMES = ("free", "harmonic", "bessel", "bessel_r", "mathieu", "nbody-asymptotic")
-
-
-def _default_tol() -> float:
-    raw = os.environ.get("SYMIND_TOL")
-    if raw is None:
-        return 1e-8
-    try:
-        val = float(raw)
-    except ValueError as exc:
-        raise ConfigInvalid(f"SYMIND_TOL={raw!r} is not a number") from exc
-    if val <= 0:
-        raise ConfigInvalid("SYMIND_TOL must be positive")
-    return val
 
 
 def _resolve_problem(name: str, params: dict, dim: int | None = None):
@@ -123,8 +108,7 @@ def cmd_conjugate(args) -> int:
     problem = _resolve_problem(args.problem, _problem_params(args), args.dim)
     span = tuple(args.span) if args.span else problem.interval
     LD = dirichlet_frame(problem.space)
-    pts = conjugate_points(problem, LD, LD, span,
-                           anchor=args.anchor, tol=_default_tol())
+    pts = conjugate_points(problem, LD, LD, span, anchor=args.anchor)
     rep = IndexReport(command="conjugate", verdict=int(sum(m for _, m in pts)),
                       conjugate_points=list(pts), provenance=_provenance(args))
     return _emit(rep, args, [[t, m] for t, m in pts], "t,multiplicity")

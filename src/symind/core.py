@@ -9,6 +9,7 @@ frames, which makes intersection dimensions a principal-angle computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,7 +33,9 @@ class SymplecticSpace:
 
     ``kind`` is "standard" for (R^2n, Omega) or "product" for the boundary-data
     space (R^2nl (+) R^2nr, -Omega (+) Omega); ``blocks`` carries (nl, nr) in
-    the product case.
+    the product case.  ``standard`` and ``minus_plus`` return one shared
+    instance per size, which is safe because the form is read-only, so most
+    equality tests end at the identity check.
     """
 
     dim: int
@@ -54,12 +57,14 @@ class SymplecticSpace:
         return self.dim // 2
 
     @staticmethod
+    @cache
     def standard(n: int) -> "SymplecticSpace":
         if n < 1:
             raise ValueError("half dimension must be positive")
         return SymplecticSpace(2 * n, standard_form_matrix(n), "standard")
 
     @staticmethod
+    @cache
     def minus_plus(n_left: int, n_right: int) -> "SymplecticSpace":
         """The product space carrying -Omega on the left block, +Omega on the right."""
         Jl = standard_form_matrix(n_left)
@@ -68,7 +73,7 @@ class SymplecticSpace:
         return SymplecticSpace(2 * (n_left + n_right), J, "product", (n_left, n_right))
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, SymplecticSpace)
             and self.dim == other.dim
             and np.array_equal(self.form, other.form)
@@ -162,7 +167,8 @@ def stacked_lagrangian_frames(space: SymplecticSpace, columns, tol: float | None
 
     q, r = np.linalg.qr(cols)
     diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    rank = np.sum(diag > np.reshape(tol * scale, (-1, 1)), axis=1)
+    # R's diagonal scales like the columns, the isotropy residual like their square
+    rank = np.sum(diag > np.reshape(tol, (-1, 1)), axis=1)
     if rank.min() < space.half_dim:
         raise RankDeficient(f"span has rank {rank.min()} < {space.half_dim}")
     if rank.max() > space.half_dim:

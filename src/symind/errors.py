@@ -33,16 +33,8 @@ class ChartBreakdown(SymindError):
     """No transversal complement found after retries."""
 
 
-class UnresolvedDegeneracy(SymindError):
-    """No perturbation size regularizes all crossings consistently."""
-
-
 class ContinuityBudgetExceeded(SymindError):
     """Path moves too fast for the refinement cap."""
-
-
-class NonIsolatedCrossing(SymindError):
-    """Crossing cluster fails to separate at maximum refinement."""
 
 
 # -- sturm-liouville ---------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Crossing forms, the CLM Maslov index of Lagrangian path pairs, triple index,
-and the Hormander index.
+"""Lagrangian paths, the CLM Maslov index of path pairs, crossing forms, the
+triple index and the Hormander index.
 
 Conventions.  For a pair (l1, l2) of paths the index is
 
@@ -10,11 +10,28 @@ l1(t) cap l2(t), and Q(L, L')[v] = d/dt omega(v, w(t)) with v + w(t) in l(t)
 for a complement W transversal to l(t0).  A counterclockwise rotation of a
 line through a fixed reference in (R^2, Omega) therefore scores +1 at an
 interior crossing.
+
+Counting rule.  An orthonormal frame [X; Y] of a Lagrangian L in (p, q)
+coordinates gives the unitary U = X + iY, and S(L) = U U^T depends on L
+alone.  W(t) = S(l2(t)) S(l1(t))^* has the eigenvalue 1 with multiplicity
+dim(l1(t) cap l2(t)), and an eigenphase of W passes 1 counterclockwise where
+the crossing form is positive on its direction (Howard, Latushkin &
+Sukhtayev, J. Dyn. Diff. Eq. 2017; Booss-Bavnbek & Furutani 1998).  So mu is
+the signed number of eigenphases passing the cut at angle 0 over a sample
+grid on which both paths move little, which needs no regular-crossing
+assumption.  Eigenphases are paired between samples by eigenvector overlap.
+At t = a and t = b only, a phase within ENDPOINT_PHASE_TOL of 0 is an
+endpoint crossing and sits on the 2 pi side of the cut; this gives n_plus at
+a and -n_minus at b.  A product space (-Omega) (+) Omega is first mapped to
+the standard one by negating the left p-block.
+
+``crossing_form`` and ``relative_crossing_matrix`` compute crossing forms
+directly, by finite differences in a chart; the count does not use them, and
+they serve as its independent check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,30 +54,29 @@ from .errors import (
     ContinuityBudgetExceeded,
     NotACrossing,
     SpaceMismatch,
-    UnresolvedDegeneracy,
 )
 
 # Crossing machinery knobs; see the module tests for how they were pinned.
 CONTINUITY_BUDGET = 0.08          # max subspace movement (sine of angle) per grid step
 MAX_REFINE_DEPTH = 26             # dyadic subdivisions of one initial interval
-CROSSING_SINE_TOL = 1e-5          # principal sine under which an instant counts as a crossing
-LOCATE_REL_TOL = 1e-12            # parameter tolerance of the one-dimensional search
-MERGE_REL_TOL = 1e-8              # crossings closer than this (relative) merge
+ENDPOINT_PHASE_TOL = 1e-7         # eigenphase (rad) under which t = a or b is a crossing
+LOCATE_REL_TOL = 1e-12            # relative parameter tolerance of the crossing root finder
 INERTIA_FLOOR = 1e-7              # magnitude floor for calling a form eigenvalue zero
-PERTURBATION_DELTAS = (1e-6, 1e-5, 1e-4)
+
+_TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
 class CrossingRecord:
-    """A crossing instant with its intersection vectors and form inertia."""
+    """A crossing instant; the inertia counts the eigenphases of W that pass
+    1 counterclockwise (n_plus), clockwise (n_minus) or not at all (n_zero)."""
 
     t: float
-    intersection_basis: np.ndarray
     inertia: InertiaTriple
 
     @property
     def multiplicity(self) -> int:
-        return self.intersection_basis.shape[1]
+        return self.inertia.total
 
 
 class LagrangianPath:
@@ -145,6 +161,9 @@ class LagrangianPath:
 
         Uses the unitary parametrization U = X - iY of an orthonormal
         Lagrangian frame [X; Y] and interpolates along exp(t log(U0* U1)).
+        The skew-Hermitian logarithm is diagonalized once, L = V diag(i theta) V*,
+        so U(t) = U0 V diag(exp(i t theta)) V* samples any number of
+        parameters in one batch.
         """
         space = start.space
         if space.kind != "standard":
@@ -155,34 +174,17 @@ class LagrangianPath:
         U0 = start.frame[:n] - 1j * start.frame[n:]
         U1 = end.frame[:n] - 1j * end.frame[n:]
         L = sla.logm(U0.conj().T @ U1)
-        L = 0.5 * (L - L.conj().T)
-
-        def fun(t):
-            U = U0 @ sla.expm(t * L)
-            return LagrangianFrame(space, np.vstack([U.real, -U.imag]))
-
-        return cls(space, fun, 0.0, 1.0)
-
-    def rotated(self, delta: float, a: float, b: float) -> "LagrangianPath":
-        """Endpoint-preserving J-rotation perturbation by a quadratic bump.
-
-        The perturbed path keeps this path's grid and samples in batches:
-        the bump rotations are stacked and applied to ``self.frames``.
-        """
-        span = b - a
-        J = self.space.form
-        eye = np.eye(self.space.dim)
+        theta, V = np.linalg.eigh(-0.5j * (L - L.conj().T))
+        U0V, Vh = U0 @ V, V.conj().T
 
         def many(ts):
-            rho = 4.0 * (ts - a) * (b - ts) / span ** 2
-            ang = (delta * rho)[:, None, None]
-            return (np.cos(ang) * eye + np.sin(ang) * J) @ self.frames(ts)
+            U = (U0V * np.exp(1j * np.multiply.outer(ts, theta))[:, None, :]) @ Vh
+            return np.concatenate([U.real, -U.imag], axis=1)
 
         def fun(t):
-            return LagrangianFrame(self.space, many(np.array([float(t)]))[0])
+            return LagrangianFrame(space, many(np.array([float(t)]))[0])
 
-        return LagrangianPath(self.space, fun, self.a, self.b, self.samples,
-                              grid=self.grid, many=many)
+        return cls(space, fun, 0.0, 1.0, many=many)
 
 
 # -- crossing forms ----------------------------------------------------------
@@ -283,7 +285,7 @@ def crossing_form(path: LagrangianPath, reference: LagrangianFrame, t0: float,
     return inertia_of(Q, floor=INERTIA_FLOOR * max(1.0, float(np.max(np.abs(Q)))))
 
 
-# -- crossing localization ---------------------------------------------------
+# -- the eigenphase count ----------------------------------------------------
 
 
 def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
@@ -327,182 +329,152 @@ def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
     return np.sort(np.concatenate(out))
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _souriau(space: SymplecticSpace, frames: np.ndarray) -> np.ndarray:
+    """S(L) = U U^T, U = X + iY, for frames stacked as (k, dim, half_dim).
 
-
-def _golden_minimize(f, lo, hi, xatol, maxiter=300):
-    """Golden-section search terminating on interval width alone.
-
-    Crossing gaps are V-shaped (|t - t0| kinks), where parabolic minimizers
-    stall at a sqrt(eps)*|t| floor; pure width-based golden section reaches
-    the requested parameter tolerance.
+    A product space (-Omega) (+) Omega with coordinates (p_l, q_l, p_r, q_r)
+    goes to the standard space through (p, q) = ((-p_l, p_r), (q_l, q_r)).
     """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(maxiter):
-        if b - a <= xatol:
+    if space.kind == "product":
+        nl, nr = space.blocks
+        if space != SymplecticSpace.minus_plus(nl, nr):
+            raise SpaceMismatch("product space without the (-Omega) (+) Omega form")
+        X = np.concatenate([-frames[:, :nl], frames[:, 2 * nl:2 * nl + nr]], axis=1)
+        Y = np.concatenate([frames[:, nl:2 * nl], frames[:, 2 * nl + nr:]], axis=1)
+    else:
+        n = space.half_dim
+        if space != SymplecticSpace.standard(n):
+            raise SpaceMismatch("space without the standard form")
+        X, Y = frames[:, :n], frames[:, n:]
+    U = X + 1j * Y
+    return U @ np.swapaxes(U, 1, 2)
+
+
+def _eig_w(path1, path2, ts):
+    """Eigenvalues (k, n) and eigenvectors (k, n, n) of W at every t in ts."""
+    space = path1.space
+    W = _souriau(space, path2.frames(ts)) @ _souriau(space, path1.frames(ts)).conj()
+    return np.linalg.eig(W)
+
+
+def _pair_branches(lam, vecs):
+    """Reorder eigenpairs so that column j follows one branch along the samples:
+    consecutive samples are matched by largest eigenvector overlap, greedily
+    where two eigenvectors prefer the same partner."""
+    n = lam.shape[1]
+    overlap = np.abs(np.swapaxes(vecs[:-1].conj(), 1, 2) @ vecs[1:])
+    nxt = np.argmax(overlap, axis=2)
+    for k in np.flatnonzero(np.any(np.sort(nxt, axis=1) != np.arange(n), axis=1)):
+        o = overlap[k].copy()
+        for _ in range(n):
+            i, j = np.unravel_index(np.argmax(o), o.shape)
+            nxt[k, i], o[i], o[:, j] = j, -1.0, -1.0
+    order = np.empty(lam.shape, int)
+    order[0] = np.arange(n)
+    for k in range(len(nxt)):
+        order[k + 1] = nxt[k][order[k]]
+    return np.take_along_axis(lam, order, axis=1), np.take_along_axis(vecs, order[:, None, :], axis=2)
+
+
+def _tracked_phases(path1, path2, ts, refs):
+    """At each ts[i], the phase and eigenvector of W whose eigenvector
+    overlaps refs[i] most."""
+    lam, vecs = _eig_w(path1, path2, ts)
+    j = np.argmax(np.abs(np.einsum("kn,knm->km", refs.conj(), vecs)), axis=1)
+    k = np.arange(len(ts))
+    return np.angle(lam[k, j]), vecs[k, :, j]
+
+
+def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
+    """Roots of the tracked phases through 0, one per bracket [lo, hi].
+
+    ``sign`` is +1 for a rising phase, -1 for a falling one, so that
+    g = sign * phase has g_lo < 0 <= g_hi or g_lo <= 0 < g_hi.  All open
+    brackets step together: one Illinois (modified regula falsi) point each,
+    sampled in one batch per path with one stacked eig; a bracket that did
+    not halve in one wave bisects in the next.  A bracket is done at width
+    LOCATE_REL_TOL times its position or initial width.
+    """
+    xtol = LOCATE_REL_TOL * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), hi - lo)
+    root = np.where(g_lo == 0, lo, np.where(g_hi == 0, hi, np.nan))
+    width, moved = hi - lo, np.zeros(lo.shape, int)
+    bisect = np.zeros(lo.shape, bool)
+    while True:
+        i = np.flatnonzero(np.isnan(root) & (hi - lo > xtol))
+        if not i.size:
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+        t = lo[i] - g_lo[i] * (hi[i] - lo[i]) / (g_hi[i] - g_lo[i])
+        t = np.where(bisect[i] | ~((lo[i] < t) & (t < hi[i])), 0.5 * (lo[i] + hi[i]), t)
+        phase, refs[i] = _tracked_phases(path1, path2, t, refs[i])
+        g = sign[i] * phase
+        root[i[g == 0]] = t[g == 0]
+        left, right = i[g < 0], i[g > 0]
+        # Illinois: halve the stale end's value when the same end moves twice
+        g_hi[left[moved[left] == -1]] *= 0.5
+        g_lo[right[moved[right] == 1]] *= 0.5
+        lo[left], g_lo[left], moved[left] = t[g < 0], g[g < 0], -1
+        hi[right], g_hi[right], moved[right] = t[g > 0], g[g > 0], 1
+        bisect[i] = hi[i] - lo[i] > 0.5 * width[i]
+        width[i] = hi[i] - lo[i]
+    done = np.isnan(root)
+    root[done] = lo[done] - g_lo[done] * (hi[done] - lo[done]) / (g_hi[done] - g_lo[done])
+    return root, xtol
 
 
-def _sine_min(path1, path2, t):
-    return float(principal_sines(path1(t), path2(t))[0])
+def _endpoint_inertia(phase, step) -> InertiaTriple:
+    """Directions of the phases at the cut at an end sample, from the
+    adjacent sample step."""
+    d = step[np.abs(phase) < ENDPOINT_PHASE_TOL]
+    return InertiaTriple(int(np.sum(d > 0)), int(np.sum(d == 0)), int(np.sum(d < 0)))
 
 
-def _count_small_sines(path1, path2, t, tol):
-    s = principal_sines(path1(t), path2(t))
-    return int(np.sum(s < tol))
+def _crossings(path1, path2, a, b, counterclockwise):
+    """The index and the crossing records of the pair on [a, b]."""
+    ts = _refined_grid(path1, path2, a, b)
+    lam, vecs = _pair_branches(*_eig_w(path1, path2, ts))
+    phase = np.angle(lam)
+    step = np.angle(lam[1:] * lam[:-1].conj())
+    passes = np.floor((phase[:-1] + step) / _TWO_PI) - np.floor(phase[:-1] / _TWO_PI)
+    if counterclockwise:
+        # every crossing is known to be positive, so a step whose shorter arc
+        # passes the cut clockwise went counterclockwise the long way round:
+        # a half turn of the line inside one sample interval, passing no cut
+        passes = np.maximum(passes, 0)
+    # a phase at the cut at t = a or t = b is an endpoint crossing
+    passes[0, np.abs(phase[0]) < ENDPOINT_PHASE_TOL] = 0
+    passes[-1, np.abs(phase[-1]) < ENDPOINT_PHASE_TOL] = 0
+    at_a, at_b = _endpoint_inertia(phase[0], step[0]), _endpoint_inertia(phase[-1], step[-1])
+    mu = int(passes.sum()) + at_a.n_plus - at_b.n_minus
 
-
-def _smallest_sines(path1, path2, ts):
-    return stacked_principal_sines(path1.space, path1.frames(ts), path2.frames(ts))[:, 0]
-
-
-def _locate_crossings(path1, path2, a, b, budget=CONTINUITY_BUDGET,
-                      sine_tol=CROSSING_SINE_TOL):
-    """Crossing instants in [a, b] as (t, multiplicity, local_scale) triples,
-    endpoints included.  ``local_scale`` is the width of the sample bracket
-    the crossing was found in; since refinement tracks the path speed it is
-    the right yardstick for finite-difference steps at that crossing."""
-    ts = _refined_grid(path1, path2, a, b, budget)
-    vals = _smallest_sines(path1, path2, ts)
-    span = b - a
-    xatol = max(LOCATE_REL_TOL * span, 1e-15)
-    found = []
-
-    last = len(ts) - 1
-    crossing_ends = set()
-    for i, t_end, nb_width in ((0, a, ts[1] - ts[0]), (last, b, ts[-1] - ts[-2])):
-        m = _count_small_sines(path1, path2, t_end, tol=min(sine_tol, 1e-7))
-        if m > 0:
-            crossing_ends.add(i)
-            found.append((t_end, m, float(nb_width)))
-
-    # local minima of the sampled sine, each bracketed by its neighbours; a
-    # minimum at an end sample that is not itself a crossing brackets the
-    # one sample interval next to it.  A crossing can lie next to a sample
-    # only when the sine there is at most what both paths move over the
-    # interval: 2 budgets inside, the measured moves next to an end sample.
-    trigger = np.full(len(ts), min(2.0 * budget, 0.5))
-    for i, j in ((0, 1), (last, last - 1)):
-        trigger[i] = min(trigger[i], sum(gap_distance(p(ts[i]), p(ts[j])) for p in (path1, path2)))
-    for i in range(len(ts)):
-        if vals[i] > trigger[i] or i in crossing_ends:
-            continue
-        left, right = max(i - 1, 0), min(i + 1, last)
-        if vals[i] <= vals[left] and vals[i] <= vals[right]:
-            t_star, _ = _golden_minimize(
-                lambda t: _sine_min(path1, path2, t),
-                ts[left], ts[right],
-                max(xatol, 8.0 * np.finfo(float).eps * max(abs(ts[left]), abs(ts[right]))))
-            if min(t_star - a, b - t_star) < 10 * xatol:
-                continue  # at an endpoint: a crossing there is counted above
-            m = _count_small_sines(path1, path2, t_star, tol=sine_tol)
-            if m > 0:
-                found.append((t_star, m, float(ts[right] - ts[left])))
-
-    found.sort(key=lambda rec: rec[0])
-    merged = []
-    for t, m, w in found:
-        if merged and abs(t - merged[-1][0]) < MERGE_REL_TOL * span:
-            tm, mm, wm = merged[-1]
-            merged[-1] = (tm, mm + m, min(wm, w))
-        else:
-            merged.append((t, m, w))
-    return merged
-
-
-def _persistent_intersection(path1, path2, a, b, sine_tol=CROSSING_SINE_TOL):
-    hits = int(np.sum(_smallest_sines(path1, path2, np.linspace(a, b, 17)) < sine_tol))
-    return hits >= 9
-
-
-# -- the CLM index -----------------------------------------------------------
-
-
-def _mu_from_records(records, a, b):
-    mu = 0
-    for rec in records:
-        if rec.t == a:
-            mu += rec.inertia.n_plus
-        elif rec.t == b:
-            mu -= rec.inertia.n_minus
-        else:
-            mu += rec.inertia.signature
-    return mu
-
-
-def _scan_once(path1, path2, a, b, h, check_rng, sine_tol=CROSSING_SINE_TOL):
-    crossings = _locate_crossings(path1, path2, a, b, sine_tol=sine_tol)
-    records = []
-    for t0, _m, width in crossings:
-        basis = intersection_basis(path1(t0), path2(t0), tol=sine_tol)
-        if basis.shape[1] == 0:
-            continue
-        h_loc = min(h, 0.02 * width)
-        Q = relative_crossing_matrix(path1, path2, t0, basis, h_loc, check_rng)
-        floor = INERTIA_FLOOR * max(1.0, float(np.max(np.abs(Q))) if Q.size else 1.0)
-        records.append(CrossingRecord(t0, basis, inertia_of(Q, floor)))
-    return records
+    k, j = np.nonzero(passes)
+    sign = passes[k, j]
+    roots, xtol = _locate(path1, path2, ts[k], ts[k + 1], sign * phase[k, j],
+                          sign * phase[k + 1, j], sign, vecs[k, :, j])
+    # roots that agree to the root finder's tolerance are one instant
+    order = np.argsort(roots, kind="stable")
+    groups = np.split(order, 1 + np.flatnonzero(np.diff(roots[order]) > np.maximum(
+        xtol[order[:-1]], xtol[order[1:]])))
+    records = [CrossingRecord(float(roots[g[0]]), InertiaTriple(
+        int(np.sum(sign[g] > 0)), 0, int(np.sum(sign[g] < 0)))) for g in groups if g.size]
+    return mu, ([CrossingRecord(a, at_a)] if at_a.total else []) + records \
+        + ([CrossingRecord(b, at_b)] if at_b.total else [])
 
 
 def maslov_clm(path1: LagrangianPath, path2: LagrangianPath,
-               interval: tuple | None = None, *, h: float | None = None,
-               check_rng=None, _sine_tol: float = CROSSING_SINE_TOL,
-               _allow_perturbation: bool = True):
+               interval: tuple | None = None, *, _counterclockwise: bool = False):
     """CLM Maslov index of the pair (path1, path2) plus its crossing records.
 
-    Degenerate crossings trigger an endpoint-preserving J-rotation of path2
-    with delta from PERTURBATION_DELTAS; the index must agree across two
-    consecutive delta values or UnresolvedDegeneracy is raised.  Perturbed
-    re-scans shrink the crossing-detection tolerance below delta so the
-    rotated pair does not look coincident.
+    ``_counterclockwise`` is for callers that know every crossing of the pair
+    is positive (a flow with positive definite P against Dirichlet data): a
+    sample step whose shorter arc passes the cut clockwise is then read as a
+    fast half turn inside that step, which passes no cut.
     """
     if path1.space != path2.space:
         raise SpaceMismatch("paths in different spaces")
     a, b = interval if interval is not None else (max(path1.a, path2.a), min(path1.b, path2.b))
     if not b > a:
         raise ValueError("empty parameter interval")
-    h = 1e-5 * (b - a) if h is None else h
-
-    persistent = _persistent_intersection(path1, path2, a, b, _sine_tol)
-    records = [] if persistent else _scan_once(path1, path2, a, b, h, check_rng, _sine_tol)
-    degenerate = persistent or any(r.inertia.n_zero > 0 for r in records)
-
-    if not degenerate:
-        return _mu_from_records(records, a, b), records
-
-    if not _allow_perturbation:
-        raise UnresolvedDegeneracy("degenerate crossings under perturbation")
-
-    mus = []
-    for delta in PERTURBATION_DELTAS:
-        try:
-            pert = path2.rotated(delta, a, b)
-            mu_d, recs_d = maslov_clm(path1, pert, (a, b), h=min(h, 0.02 * delta * (b - a)),
-                                      check_rng=check_rng,
-                                      _sine_tol=min(CROSSING_SINE_TOL, delta / 20.0),
-                                      _allow_perturbation=False)
-        except (UnresolvedDegeneracy, ContinuityBudgetExceeded):
-            mus.append(None)
-            continue
-        mus.append(mu_d)
-        if len(mus) >= 2 and mus[-1] is not None and mus[-1] == mus[-2]:
-            if persistent:
-                records = recs_d
-            return mus[-1], records
-    raise UnresolvedDegeneracy(f"index not delta-stable: {mus}")
+    return _crossings(path1, path2, a, b, _counterclockwise)
 
 
 # -- triple and Hormander indices --------------------------------------------

@@ -397,15 +397,18 @@ def boundary_bracket(f_data, g_data) -> float:
 
 
 def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
-                     reference: LagrangianFrame, span: tuple, tol: float = 1e-8,
+                     reference: LagrangianFrame, span: tuple,
                      anchor: float | None = None, fs: FundamentalSolution | None = None,
                      check_positivity: bool = True):
     """Interior instants where gamma(t).bc meets the reference, with multiplicity.
 
     ``anchor`` is where gamma equals the identity (defaults to the span
     start).  When the reference is the Dirichlet frame and P is positive
-    definite, every crossing form must come out positive definite; a
-    violation raises, since it would falsify the conjugate-point count.
+    definite, every crossing is positive.  Near a singular end the flow can
+    then swing through a half turn inside one sample interval, which the
+    shorter arc would read as a negative crossing, so the count reads a step
+    that passes the cut clockwise as that half turn.  ``check_positivity=False``
+    takes every step along its shorter arc instead.
     """
     c, d = span
     anchor = c if anchor is None else anchor
@@ -413,22 +416,13 @@ def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
         fs = fundamental_solution(problem, anchor, span)
     path = fs.flow_path(bc_at_start, c, d)
     ref_path = LagrangianPath.constant(reference, c, d)
-    _, records = maslov_clm(ref_path, path, (c, d))
 
     dirichlet_like = np.allclose(reference.frame, dirichlet_frame(problem.space).frame)
     P_mid = problem.p(0.5 * (c + d))
     positive_p = bool(np.all(np.linalg.eigvalsh(0.5 * (P_mid + P_mid.T)) > 0))
-
-    points = []
-    for rec in records:
-        if rec.t == c or rec.t == d:
-            continue
-        if check_positivity and dirichlet_like and positive_p:
-            if rec.inertia.n_minus or rec.inertia.n_zero:
-                raise SymindError(
-                    f"conjugate-point crossing at t={rec.t} is not positive: {rec.inertia}")
-        points.append((rec.t, rec.multiplicity))
-    return points
+    _, records = maslov_clm(ref_path, path, (c, d),
+                            _counterclockwise=check_positivity and dirichlet_like and positive_p)
+    return [(rec.t, rec.multiplicity) for rec in records if c < rec.t < d]
 
 
 # -- Morse index under Dirichlet/Friedrichs conditions ------------------------

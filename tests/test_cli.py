@@ -227,14 +227,7 @@ class TestDeterminismAndExitCodes:
         args = argparse.Namespace(report=str(tmp_path / "r.json"), csv=None)
         assert _emit(rep, args) == EXIT_UNDETERMINED
 
-    def test_bad_symind_tol_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMIND_TOL", "not-a-number")
-        code, _, err = run_cli(["conjugate", "--problem", "free"], capsys)
-        assert code == EXIT_ERROR
-        assert "ConfigInvalid" in err
-
-    def test_symind_tol_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMIND_TOL", "1e-9")
+    def test_conjugate_command_counts(self, capsys):
         code, out, _ = run_cli(["conjugate", "--problem", "harmonic", "--omega", "10",
                                 "--interval", "0", "1"], capsys)
         assert code == EXIT_OK

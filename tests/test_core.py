@@ -47,6 +47,18 @@ def test_product_space_form():
     assert P.omega([0, 0, 1, 0], [0, 0, 0, 1]) == 1.0
 
 
+def test_space_equality_is_by_form():
+    from symind.core import standard_form_matrix
+
+    assert SymplecticSpace.standard(2) is S2
+    assert SymplecticSpace.minus_plus(1, 1) is SymplecticSpace.minus_plus(1, 1)
+    fresh = SymplecticSpace(4, standard_form_matrix(2))
+    assert fresh is not S2 and fresh == S2 and S2 == fresh
+    assert SymplecticSpace.minus_plus(1, 1) != S2
+    assert SymplecticSpace.minus_plus(2, 0) != SymplecticSpace.minus_plus(0, 2)
+    assert S1 != S2 and S2 != "S2"
+
+
 def test_lagrangian_from_columns_axis_and_diagonal():
     L = lagrangian_from_columns(S1, [[1.0], [0.0]])
     assert np.allclose(np.abs(L.frame), [[1.0], [0.0]])

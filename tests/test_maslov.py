@@ -12,6 +12,9 @@ Hand-derived oracles used below (standard Omega on R^2, ordering (p, q)):
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symind.core import (
     InertiaTriple,
@@ -21,6 +24,7 @@ from symind.core import (
     dirichlet_frame,
     rotation_matrix,
     gap_distance,
+    intersection_basis,
     line_frame,
     neumann_frame,
     random_lagrangian,
@@ -36,6 +40,7 @@ from symind.maslov import (
     hormander_index,
     hormander_via_maslov,
     maslov_clm,
+    relative_crossing_matrix,
     triple_index,
 )
 
@@ -153,6 +158,29 @@ class TestMaslovClm:
             mu_right, _ = maslov_clm(refp, path, (c, 1.0))
             assert mu_full == mu_left + mu_right
 
+    @pytest.mark.parametrize("n,seed", [(1, 40), (2, 41), (3, 42)])
+    def test_directions_match_crossing_forms(self, n, seed):
+        # at a regular interior crossing the eigenphase directions give the
+        # inertia of the relative crossing form, computed independently
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        checked = 0
+        while checked < 4:
+            path = LagrangianPath.connecting(*(random_lagrangian(space, rng) for _ in range(2)))
+            ref = LagrangianPath.constant(random_lagrangian(space, rng), 0.0, 1.0)
+            _, recs = maslov_clm(ref, path)
+            for r in recs:
+                if not 1e-3 < r.t < 1 - 1e-3:
+                    continue
+                basis = intersection_basis(ref(r.t), path(r.t), tol=1e-6)
+                Q = relative_crossing_matrix(ref, path, r.t, basis, 1e-6)
+                w = np.linalg.eigvalsh(Q)
+                if np.min(np.abs(w)) < 1e-3 * max(1.0, np.max(np.abs(w))):
+                    continue
+                assert basis.shape[1] == r.multiplicity
+                assert r.inertia == InertiaTriple(int(np.sum(w > 0)), 0, int(np.sum(w < 0)))
+                checked += 1
+
     def test_symplectic_invariance(self):
         rng = np.random.default_rng(5)
         S2 = SymplecticSpace.standard(2)
@@ -263,6 +291,51 @@ class TestHormander:
             assert s_triple == s_mu
 
 
+def _near(U, rng, sines, shared):
+    """U V diag(exp(i theta)) V^T: the Lagrangian of U moved by principal
+    angles theta, with all but one of them zero when ``shared``."""
+    n = U.shape[0]
+    theta = np.arcsin(sines) * rng.choice([-1.0, 1.0], n)
+    if shared:
+        theta[:-1] = 0.0
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return U @ V @ np.diag(np.exp(1j * theta)) @ V.T
+
+
+class TestNearDegenerateQuadruples:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           log_sine=st.floats(-6.0, -3.0), shared=st.booleans(), move_l2=st.booleans())
+    def test_maslov_route_equals_triple_route(self, n, seed, log_sine, shared, move_l2):
+        # l1 or l2 within principal sines 1e-6..1e-3 of m1: the connecting
+        # path meets m1 at or next to an endpoint, in several directions at once
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        Us = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+              for _ in range(4)]
+        sines = 10.0 ** (log_sine + rng.uniform(0.0, 0.5, n))
+        Us[1 if move_l2 else 0] = _near(Us[2], rng, sines, shared)
+        l1, l2, m1, m2 = (LagrangianFrame(space, np.vstack([U.real, U.imag])) for U in Us)
+        assert hormander_via_maslov(l1, l2, m1, m2) == hormander_index(l1, l2, m1, m2)
+
+
+class TestConnectingPath:
+    @pytest.mark.parametrize("n,seed", [(1, 50), (2, 51), (3, 52)])
+    def test_batched_samples_equal_the_expm_route(self, n, seed):
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        start, end = random_lagrangian(space, rng), random_lagrangian(space, rng)
+        path = LagrangianPath.connecting(start, end)
+        U0 = start.frame[:n] - 1j * start.frame[n:]
+        L = sla.logm(U0.conj().T @ (end.frame[:n] - 1j * end.frame[n:]))
+        L = 0.5 * (L - L.conj().T)
+        ts = rng.permutation(np.linspace(0.0, 1.0, 41))
+        for t, F in zip(ts, path.frames(ts)):
+            U = U0 @ sla.expm(t * L)
+            assert np.max(np.abs(F - np.vstack([U.real, -U.imag]))) < 1e-13
+        assert gap_distance(path(0.0), start) < 1e-13 and gap_distance(path(1.0), end) < 1e-12
+
+
 class TestRefinedGrid:
     @pytest.mark.parametrize("n,seed", [(1, 30), (2, 31), (3, 32)])
     def test_consecutive_samples_within_budget(self, n, seed):
@@ -290,22 +363,3 @@ class TestRefinedGrid:
         assert max(gap_distance(flow(s), flow(t))
                    for s, t in zip(ts[:-1], ts[1:])) <= CONTINUITY_BUDGET
 
-
-class TestRotatedPath:
-    def test_rotated_flow_keeps_grid_and_batched_sampler(self):
-        from symind.catalog import make_problem
-        from symind.sturm import fundamental_solution
-
-        span = (1e-4, 1.0)
-        fs = fundamental_solution(make_problem("bessel", q=0.1, interval=span), 1.0, span)
-        path = fs.flow_path(dirichlet_frame(S1))
-        rotated = path.rotated(1e-6, *span)
-        assert path.grid is not None and np.array_equal(rotated.grid, path.grid)
-        ts = rotated.initial_grid(*span)[::5]
-        batched = rotated.frames(ts)
-        fresh = path.rotated(1e-6, *span)
-        assert np.array_equal(batched, np.array([fresh(t).frame for t in ts]))
-        # the bump vanishes at the ends and moves the frames by at most delta
-        base = path.frames(ts)
-        assert np.array_equal(batched[[0, -1]], base[[0, -1]])
-        assert 0.0 < np.max(np.abs(batched - base)) <= 1e-6

@@ -178,6 +178,25 @@ class TestConjugatePoints:
             counts.append(sum(m for _, m in pts))
         assert counts == sorted(counts)
 
+    @pytest.mark.parametrize("angle", [0.0, 0.7])
+    def test_two_bessel_frequencies_give_simple_points(self, angle):
+        # R = O diag(-1/4 - pi^2, -1/4 - 2.939^2) O^T / t^2: the zeros of both
+        # decoupled Bessel directions, each a simple conjugate point, although
+        # one direction dwells near the Dirichlet line while the other crosses
+        c, s = math.cos(angle), math.sin(angle)
+        O = np.array([[c, -s], [s, c]])
+        R = O @ np.diag([-0.25 - math.pi ** 2, -0.25 - 2.939 ** 2]) @ O.T
+        prob = SLProblem(2, (0.0, 1.0), 1.0, 0.0, lambda t: R / t ** 2,
+                         endpoints=(LIMIT_CIRCLE, REGULAR))
+        LD = dirichlet_frame(prob.space)
+        pts = conjugate_points(prob, LD, LD, (1e-7, 1.0), anchor=1.0)
+        zeros = sorted(math.exp(-k * math.pi / nu) for nu in (math.pi, 2.939)
+                       for k in range(1, 64) if math.exp(-k * math.pi / nu) > 1e-7)
+        assert len(zeros) == 31
+        assert [m for _, m in pts] == [1] * 31
+        for (t, _), z in zip(sorted(pts), zeros):
+            assert abs(t - z) / z < 1e-8
+
 
 class TestMorseIndexDirichlet:
     def test_harmonic_regular(self):
@@ -206,10 +225,13 @@ class TestMorseIndexDirichlet:
         for t, e in zip(sorted(pts), expected):
             assert abs(t - e) / e < 1e-6
 
-    @pytest.mark.parametrize("nu", [1.79, 2.09, 3.1899])
+    @pytest.mark.parametrize("nu", [1.79, 2.09, 2.939, 3.1899, 3.517])
     def test_bessel_fast_rotation_near_truncation(self, nu):
         # near t = 1e-7 the path turns by nu * dt / t; a refinement floor fixed
-        # at (1 - 1e-7) 2^-26 cannot resolve that, a relative one can
+        # at (1 - 1e-7) 2^-26 cannot resolve that, a relative one can.  For
+        # nu = 2.939 and 3.517 the smallest zero lies inside the last sample
+        # interval before the truncation point, where the flow swings through
+        # a half turn between samples
         rep = morse_index_dirichlet(make_problem("bessel", q=-0.25 - nu * nu))
         assert rep.verdict == INFINITE
         assert all(m == 1 for _, m in rep.conjugate_points)
@@ -218,7 +240,15 @@ class TestMorseIndexDirichlet:
                  if math.exp(-k * math.pi / nu) > 1e-7]
         assert len(pts) == len(zeros)
         for t, z in zip(pts, sorted(zeros)):
-            assert abs(t - z) / z < 1e-6
+            assert abs(t - z) / z < 1e-9
+
+    @pytest.mark.parametrize("q", [0.6, 0.7, 0.74, 0.749])
+    def test_bessel_limit_circle_up_to_three_quarters(self, q):
+        # the flow columns grow to about 1e10 toward t = 0, so a rank
+        # threshold growing with their square loses every column
+        rep = morse_index_dirichlet(make_problem("bessel", q=q))
+        assert rep.verdict == 0
+        assert all(c == 0 for _, c in rep.diagnostics["delta_trace"])
 
     def test_integrator_steps_reported(self):
         rep = morse_index_dirichlet(make_problem("bessel", q=-0.25 - np.pi ** 2))
