@@ -54,6 +54,7 @@ from .errors import (
     ContinuityBudgetExceeded,
     NotACrossing,
     SpaceMismatch,
+    SymindError,
 )
 
 # Crossing machinery knobs; see the module tests for how they were pinned.
@@ -421,6 +422,27 @@ def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
     return root, xtol
 
 
+def _confirm_half_turns(path1, path2, lo, hi, refs):
+    """Raise unless each tracked phase whose shorter arc passes the cut
+    clockwise over [lo, hi] went the long way round: the brackets bisect
+    together on the sign of the phase (positive before a half turn of the
+    line, negative after) until a sample shows it beyond pi/2, and one that
+    shrinks to the root tolerance first holds a clockwise crossing."""
+    xtol = LOCATE_REL_TOL * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), hi - lo)
+    i = np.arange(lo.size)
+    while i.size:
+        shut = i[hi[i] - lo[i] <= xtol[i]]
+        if shut.size:
+            raise SymindError(f"crossing at t={lo[shut[0]]} is not positive: "
+                              "a phase passes the cut clockwise")
+        t = 0.5 * (lo[i] + hi[i])
+        phase, refs[i] = _tracked_phases(path1, path2, t, refs[i])
+        near = np.abs(phase) <= 0.5 * np.pi
+        lo[i[near & (phase > 0)]] = t[near & (phase > 0)]
+        hi[i[near & (phase <= 0)]] = t[near & (phase <= 0)]
+        i = i[near]
+
+
 def _endpoint_inertia(phase, step) -> InertiaTriple:
     """Directions of the phases at the cut at an end sample, from the
     adjacent sample step."""
@@ -435,14 +457,15 @@ def _crossings(path1, path2, a, b, counterclockwise):
     phase = np.angle(lam)
     step = np.angle(lam[1:] * lam[:-1].conj())
     passes = np.floor((phase[:-1] + step) / _TWO_PI) - np.floor(phase[:-1] / _TWO_PI)
-    if counterclockwise:
-        # every crossing is known to be positive, so a step whose shorter arc
-        # passes the cut clockwise went counterclockwise the long way round:
-        # a half turn of the line inside one sample interval, passing no cut
-        passes = np.maximum(passes, 0)
     # a phase at the cut at t = a or t = b is an endpoint crossing
     passes[0, np.abs(phase[0]) < ENDPOINT_PHASE_TOL] = 0
     passes[-1, np.abs(phase[-1]) < ENDPOINT_PHASE_TOL] = 0
+    if counterclockwise:
+        # every crossing is positive here, so a clockwise pass must be a half
+        # turn of the line inside the step, which passes no cut
+        k, j = np.nonzero(passes < 0)
+        _confirm_half_turns(path1, path2, ts[k], ts[k + 1], vecs[k, :, j])
+        passes[k, j] = 0
     at_a, at_b = _endpoint_inertia(phase[0], step[0]), _endpoint_inertia(phase[-1], step[-1])
     mu = int(passes.sum()) + at_a.n_plus - at_b.n_minus
 
@@ -450,6 +473,8 @@ def _crossings(path1, path2, a, b, counterclockwise):
     sign = passes[k, j]
     roots, xtol = _locate(path1, path2, ts[k], ts[k + 1], sign * phase[k, j],
                           sign * phase[k + 1, j], sign, vecs[k, :, j])
+    # interior instants stay strictly inside (a, b), apart from endpoint records
+    roots = np.clip(roots, np.nextafter(a, b), np.nextafter(b, a))
     # roots that agree to the root finder's tolerance are one instant
     order = np.argsort(roots, kind="stable")
     groups = np.split(order, 1 + np.flatnonzero(np.diff(roots[order]) > np.maximum(
@@ -466,8 +491,8 @@ def maslov_clm(path1: LagrangianPath, path2: LagrangianPath,
 
     ``_counterclockwise`` is for callers that know every crossing of the pair
     is positive (a flow with positive definite P against Dirichlet data): a
-    sample step whose shorter arc passes the cut clockwise is then read as a
-    fast half turn inside that step, which passes no cut.
+    step whose shorter arc passes the cut clockwise must then hold a half
+    turn of the line, which passes no cut, or SymindError is raised.
     """
     if path1.space != path2.space:
         raise SpaceMismatch("paths in different spaces")

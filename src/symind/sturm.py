@@ -398,8 +398,7 @@ def boundary_bracket(f_data, g_data) -> float:
 
 def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
                      reference: LagrangianFrame, span: tuple,
-                     anchor: float | None = None, fs: FundamentalSolution | None = None,
-                     check_positivity: bool = True):
+                     anchor: float | None = None, fs: FundamentalSolution | None = None):
     """Interior instants where gamma(t).bc meets the reference, with multiplicity.
 
     ``anchor`` is where gamma equals the identity (defaults to the span
@@ -407,8 +406,8 @@ def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
     definite, every crossing is positive.  Near a singular end the flow can
     then swing through a half turn inside one sample interval, which the
     shorter arc would read as a negative crossing, so the count reads a step
-    that passes the cut clockwise as that half turn.  ``check_positivity=False``
-    takes every step along its shorter arc instead.
+    that passes the cut clockwise as that half turn once a sample inside the
+    step shows it, and raises SymindError otherwise.
     """
     c, d = span
     anchor = c if anchor is None else anchor
@@ -421,7 +420,7 @@ def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
     P_mid = problem.p(0.5 * (c + d))
     positive_p = bool(np.all(np.linalg.eigvalsh(0.5 * (P_mid + P_mid.T)) > 0))
     _, records = maslov_clm(ref_path, path, (c, d),
-                            _counterclockwise=check_positivity and dirichlet_like and positive_p)
+                            _counterclockwise=dirichlet_like and positive_p)
     return [(rec.t, rec.multiplicity) for rec in records if c < rec.t < d]
 
 

@@ -30,7 +30,8 @@ from symind.core import (
     random_lagrangian,
     random_symplectic,
 )
-from symind.errors import NotACrossing
+from symind.errors import NotACrossing, SymindError
+import symind.maslov as maslov
 from symind.maslov import (
     CONTINUITY_BUDGET,
     LagrangianPath,
@@ -141,6 +142,39 @@ class TestMaslovClm:
         mu, recs = maslov_clm(path, LagrangianPath.constant(ref, 0.0, 1.0))
         assert mu == 1
         assert len(recs) == 1 and abs(recs[0].t - ahead) < 1e-9
+
+    def test_interior_instant_stays_inside_the_interval(self, monkeypatch):
+        # a root that lands on t = b is still an interior instant, apart from
+        # the endpoint records that callers drop
+        monkeypatch.setattr(maslov, "_locate", lambda p1, p2, lo, hi, *rest: (hi.copy(), 1e-12 * hi))
+        base = line_frame(S1, [1.0, 0.0])
+        ref = LagrangianFrame(S1, rotation_matrix(S1, 1.0 - 5e-4) @ base.frame)
+        path = LagrangianPath.rotation(base, lambda t: t, 0.0, 1.0)
+        mu, recs = maslov_clm(path, LagrangianPath.constant(ref, 0.0, 1.0))
+        assert mu == 1
+        assert len(recs) == 1 and 1.0 - 1e-15 < recs[0].t < 1.0
+
+    def test_half_turn_inside_one_sample_interval(self):
+        # the line turns from 0.02 to pi - 0.02 rad within about 1e-11 around
+        # t = 0.3001, between grid samples, and never meets the reference; the
+        # shorter arc reads a clockwise pass, which a caller that knows every
+        # crossing is positive has confirmed as the half turn
+        def fun(t):
+            angle = 0.02 + (np.pi - 0.04) * (0.5 + np.arctan((t - 0.3001) / 1e-11) / np.pi)
+            return LagrangianFrame(S1, np.array([[np.cos(angle)], [np.sin(angle)]]))
+        ref = LagrangianPath.constant(line_frame(S1, [1.0, 0.0]), 0.0, 1.0)
+        path = LagrangianPath(S1, fun, 0.0, 1.0)
+        assert maslov_clm(ref, path)[0] == -1
+        assert maslov_clm(ref, path, _counterclockwise=True) == (0, [])
+
+    def test_forced_clockwise_pass_raises(self):
+        # a genuine clockwise crossing is an error for such a caller, not a
+        # pass to drop
+        ref = LagrangianPath.constant(line_frame(S1, [1.0, 0.0]), -0.5, 0.5)
+        path = cw_line_path(-0.5, 0.5)
+        assert maslov_clm(ref, path)[0] == -1
+        with pytest.raises(SymindError, match="not positive"):
+            maslov_clm(ref, path, _counterclockwise=True)
 
     def test_path_additivity(self):
         rng = np.random.default_rng(21)
