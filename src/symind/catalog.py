@@ -69,7 +69,7 @@ def make_problem(name: str, **params) -> SLProblem:
         interval = tuple(params.pop("interval", (0.0, 1.0)))
         kind0 = LIMIT_CIRCLE if q < 0.75 else LIMIT_POINT
         return SLProblem(
-            1, interval, 1.0, 0.0, lambda t, _q=q: np.array([[_q / t ** 2]]),
+            1, interval, 1.0, 0.0, lambda t, _q=q: _q / t ** 2,
             endpoints=(kind0, REGULAR), catalog="bessel", params={"q": q, **params})
 
     if name == "mathieu":
@@ -78,7 +78,7 @@ def make_problem(name: str, **params) -> SLProblem:
         interval = tuple(params.pop("interval", (0.0, math.pi)))
         return SLProblem(
             1, interval, 1.0, 0.0,
-            lambda t, _a=a, _q=qm: np.array([[_a - 2.0 * _q * math.cos(2.0 * t)]]),
+            lambda t, _a=a, _q=qm: _a - 2.0 * _q * np.cos(2.0 * t),
             catalog="mathieu", params={"a": a, "q": qm, **params})
 
     if name == "nbody-asymptotic":
@@ -91,7 +91,8 @@ def make_problem(name: str, **params) -> SLProblem:
 def load_problem_csv(path: str, dim: int, interval=None,
                      endpoints=(REGULAR, REGULAR)) -> SLProblem:
     """Grid-sampled coefficients from CSV with columns
-    t, P_11..P_nn, Q_11..Q_nn, R_11..R_nn, interpolated cubically."""
+    t, P_11..P_nn, Q_11..Q_nn, R_11..R_nn, interpolated cubically by one
+    spline per block over the (len(t), n, n) table."""
     from scipy.interpolate import CubicSpline
 
     data = np.genfromtxt(path, delimiter=",", names=True)
@@ -100,16 +101,10 @@ def load_problem_csv(path: str, dim: int, interval=None,
     t = t[order]
 
     def block(prefix):
-        cols = np.empty((len(t), dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                cols[:, i, j] = np.asarray(data[f"{prefix}_{i + 1}{j + 1}"], dtype=float)[order]
-        splines = [[CubicSpline(t, cols[:, i, j]) for j in range(dim)] for i in range(dim)]
-
-        def fun(x):
-            return np.array([[splines[i][j](x) for j in range(dim)] for i in range(dim)])
-
-        return fun
+        cols = np.array([[data[f"{prefix}_{i + 1}{j + 1}"] for j in range(dim)]
+                         for i in range(dim)], dtype=float)
+        spline = CubicSpline(t, np.moveaxis(cols, -1, 0)[order])
+        return lambda x: spline(x[:, 0, 0])
 
     interval = (float(t[0]), float(t[-1])) if interval is None else tuple(interval)
     return SLProblem(dim, interval, block("P"), block("Q"), block("R"),

@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +66,9 @@ def _emit(report: IndexReport, args, csv_rows=None, csv_header=None) -> int:
 
 
 def _provenance(args) -> dict:
-    # output destinations and worker caps do not affect results, so they stay
-    # out of the hash: identical computations give byte-identical reports
-    skip = ("func", "report", "csv", "jobs")
+    # output destinations do not affect results, so they stay out of the
+    # hash: identical computations give byte-identical reports
+    skip = ("func", "report", "csv")
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in skip and v is not None}
     return {"toolkit_version": __version__, "config_hash": config_hash(cfg)}
@@ -174,7 +176,6 @@ def cmd_hormander(args) -> int:
 
 def cmd_spectral_flow(args) -> int:
     from .spectral import EigenTrace, discretized_family, verify_sf_formula
-    from .sturm import SLProblem
 
     base = _resolve_problem(args.problem, _problem_params(args), args.dim)
     ramp = args.ramp
@@ -182,9 +183,7 @@ def cmd_spectral_flow(args) -> int:
     def c(s, t):
         return ramp * s * np.eye(base.dim)
 
-    problem = SLProblem(base.dim, base.interval, base.p, base.q, base.r, c=c,
-                        endpoints=base.endpoints, catalog=base.catalog,
-                        params=base.params)
+    problem = replace(base, c=c)
     out = verify_sf_formula(problem, args.bc or "dirichlet",
                             tuple(args.s_range), N=args.N,
                             window_gap=args.window_gap)
@@ -226,7 +225,7 @@ def cmd_rellich(args) -> int:
         return rotation_matrix(left_space, -u) @ fr.frame
 
     out = rellich_ghosts(problem, bc_path, fr, M_values=tuple(args.M), N=args.N,
-                         u_values=tuple(args.u_values), jobs=args.jobs)
+                         u_values=tuple(args.u_values))
     rep = IndexReport(command="rellich", verdict=int(out["maslov_prediction"]),
                       diagnostics={"counts_below_minus_M":
                                    {str(k): v for k, v in out["counts_below_minus_M"].items()},
@@ -269,6 +268,46 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+# run-config field -> the option it becomes; a catalog parameter in
+# problem.params becomes the option of its own name
+_RUN_OPTIONS = {
+    "problem.name": "--problem",
+    "problem.dim": "--dim",
+    "bc": "--bc",
+    "numeric.N": "--N",
+    "numeric.delta_schedule": "--delta-schedule",
+    "numeric.window": "--window",
+    "numeric.s_range": "--s-range",
+    "output.report": "--report",
+    "output.csv": "--csv",
+}
+
+
+def _run_argv(cfg: dict) -> list:
+    """The command line of a run configuration; ConfigInvalid for a field
+    that has no option."""
+    if "command" not in cfg:
+        raise ConfigInvalid("config must name a command")
+    fields = {}
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            fields.update({f"{key}.{k}": v for k, v in val.items()})
+        else:
+            fields[key] = val
+    argv = [str(fields.pop("command"))]
+    params = fields.pop("problem.params", {})
+    if not isinstance(params, dict):
+        raise ConfigInvalid("problem.params must be an object")
+    options = {f"--{key}": val for key, val in params.items()}
+    for name, val in fields.items():
+        if name not in _RUN_OPTIONS:
+            raise ConfigInvalid(f"{name} is not a run-config field")
+        options[_RUN_OPTIONS[name]] = val
+    for flag, val in options.items():
+        argv += [flag] + [str(v) for v in (val if isinstance(val, list) else [val])]
+    return argv
+
+
 def cmd_run(args) -> int:
     """Dispatch a JSON run configuration (schema in symind/schemas/)."""
     path = Path(args.config)
@@ -278,29 +317,13 @@ def cmd_run(args) -> int:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
-    if "command" not in cfg:
-        raise ConfigInvalid("config must name a command")
-    command = cfg["command"]
-    problem = cfg.get("problem", {})
-    numeric = cfg.get("numeric", {})
-    output = cfg.get("output", {})
-    argv = [command]
-    if problem.get("name"):
-        argv += ["--problem", str(problem["name"])]
-        for key, val in problem.get("params", {}).items():
-            if key == "interval":
-                argv += ["--interval", str(val[0]), str(val[1])]
-            else:
-                argv += [f"--{key}", str(val)]
-    if cfg.get("bc"):
-        argv += ["--bc", str(cfg["bc"])]
-    if numeric.get("N"):
-        argv += ["--N", str(numeric["N"])]
-    if output.get("report"):
-        argv += ["--report", output["report"]]
-    if output.get("csv"):
-        argv += ["--csv", output["csv"]]
-    return main(argv)
+    argv = _run_argv(cfg)
+    try:
+        run_args = build_parser().parse_args(argv)
+    except SystemExit:
+        # argparse has printed which option the command lacks or rejects
+        raise ConfigInvalid(f"config does not fit the {argv[0]} command: {' '.join(argv)}") from None
+    return run_args.func(run_args)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -312,13 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="symplectic intersection indices and Morse indices of "
                     "singular Sturm-Liouville operators")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # exact option names only, so that no run-config field lands on an
+    # option it merely prefixes (numeric.window on --window-gap)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     def common(p):
         p.add_argument("--report", help="write the JSON report here (default: stdout)")
         p.add_argument("--csv", help="write CSV trace data here")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="cap on worker threads for batch steps")
 
     def problem_args(p):
         p.add_argument("--problem", required=True,

@@ -39,6 +39,10 @@ class ContinuityBudgetExceeded(SymindError):
 
 # -- sturm-liouville ---------------------------------------------------------
 
+class CoefficientShapeInvalid(SymindError):
+    """A coefficient returned neither (k, n, n) nor (n, n) for k instants."""
+
+
 class CoefficientSingular(SymindError):
     """Leading coefficient P(t) is not invertible at t."""
 

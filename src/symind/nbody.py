@@ -267,12 +267,12 @@ def _motion_name(motion: str) -> str:
 def _scalar_model_problem(beta: float, hyperbolic: bool) -> SLProblem:
     if hyperbolic:
         return SLProblem(1, (1.0, 60.0), 1.0, 0.0,
-                         lambda t, _b=beta: np.array([[_b / t ** 3]]),
+                         lambda t, _b=beta: _b / t ** 3,
                          endpoints=(REGULAR, REGULAR), catalog=None,
                          params={"beta": beta, "branch": "t^-3"})
     kind = LIMIT_CIRCLE if beta < 0.75 else LIMIT_POINT
     return SLProblem(1, (0.0, 1.0), 1.0, 0.0,
-                     lambda t, _b=beta: np.array([[_b / t ** 2]]),
+                     lambda t, _b=beta: _b / t ** 2,
                      endpoints=(kind, REGULAR), catalog="bessel",
                      params={"q": beta})
 

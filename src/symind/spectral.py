@@ -252,7 +252,7 @@ def discretize(problem: SLProblem, bc, N: int, s: float | None = None,
     c, d = problem.interval if span is None else span
     h = (d - c) / (N + 1)
     nodes = c + h * np.arange(N + 2)
-    P, Q, R = problem.stacked_coefficients(
+    P, Q, R = problem.coefficients(
         np.concatenate([nodes, c + h * (np.arange(N + 1) + 0.5)]), s)
     Pm = P[N + 2:] / h                                   # P / h at the midpoints
     Sm = Q[N + 2:] + np.swapaxes(Q[N + 2:], 1, 2)        # Q + Q^T at the midpoints
@@ -313,7 +313,7 @@ def discretize_neumann_ghost(problem: SLProblem, N: int, span: tuple | None = No
         raise ValueError("ghost-point comparison implemented for scalar problems")
     c, d = problem.interval if span is None else span
     h = (d - c) / (N + 1)
-    P, _, R = problem.stacked_coefficients(c + h * np.arange(N + 2))
+    P, _, R = problem.coefficients(c + h * np.arange(N + 2))
     w = np.ones((N + 2, 1, 1))
     w[[0, -1]] = 0.5
     A = 2.0 * w * P / h + w * h * R
@@ -400,8 +400,7 @@ def discretized_family(problem: SLProblem, bc, N: int, span: tuple | None = None
     bc_fun = bc if callable(bc) and not isinstance(bc, LagrangianFrame) else (lambda s: bc)
 
     def factory(s):
-        return discretize(problem, bc_fun(s), N, s=s if problem.c is not None else None,
-                          span=span)
+        return discretize(problem, bc_fun(s), N, s=s, span=span)
 
     return _FamilyCache(factory)
 
@@ -422,7 +421,7 @@ def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = No
     def fun(s):
         key = float(s)
         if key not in cache:
-            fs = fundamental_solution(problem, c, (c, d), s=key if problem.c is not None else None)
+            fs = fundamental_solution(problem, c, (c, d), s=key)
             M = SymplecticMatrix(problem.space, fs.matrix(d))
             cache[key] = graph_lagrangian(M, tol=1e-6)
         return cache[key]
@@ -469,8 +468,7 @@ def left_line_to_product(problem: SLProblem, left) -> LagrangianFrame:
 
 def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
                    M_values=(1e2, 1e3), N: int = 1024,
-                   u_values=(0.4, 0.2, 0.1, 0.05, 0.025), span: tuple | None = None,
-                   jobs: int = 1) -> dict:
+                   u_values=(0.4, 0.2, 0.1, 0.05, 0.025), span: tuple | None = None) -> dict:
     """Ghost-eigenvalue scan: eigenvalues diving below -M as the boundary
     condition at the truncation point rotates off the Friedrichs line.
 
@@ -506,12 +504,7 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
                 float(op.eigenvalues(k=1)[0]))
 
     ordered = sorted(u_values, reverse=True)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, ordered))
-    else:
-        results = [scan(u) for u in ordered]
+    results = [scan(u) for u in ordered]
 
     counts = {float(M): [row[0][k] for row in results]
               for k, M in enumerate(M_values)}

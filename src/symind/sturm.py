@@ -20,7 +20,7 @@ quantity is a limit along truncations toward it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,6 +38,7 @@ from .core import (
 )
 from .errors import (
     BracketLimitDiverges,
+    CoefficientShapeInvalid,
     CoefficientSingular,
     DriftBudgetExceeded,
     Inconclusive,
@@ -61,22 +62,35 @@ DRIFT_BUDGET = 1e-8
 MAGNUS_TOL = 1e-10
 
 
-def _as_matrix_fun(coeff, n):
-    """Wrap a scalar, constant matrix, or callable into t -> (n, n) array."""
+def _sample(coeff, t: np.ndarray, n: int) -> np.ndarray:
+    """One coefficient at the instants t (k, 1, 1) as a (k, n, n) array, by
+    the contract in the SLProblem docstring."""
     if callable(coeff):
-        def fun(t):
-            return np.atleast_2d(np.asarray(coeff(t), dtype=float)).reshape(n, n)
-        return fun
-    const = np.atleast_2d(np.asarray(coeff, dtype=float))
-    if const.shape == (1, 1) and n > 1:
-        const = const[0, 0] * np.eye(n)
-    const = const.reshape(n, n)
-    return lambda t: const
+        value = np.asarray(coeff(t), dtype=float)
+    else:
+        value = np.asarray(coeff, dtype=float)
+        if value.ndim == 0:
+            value = value * np.eye(n)
+    if value.shape == (n, n):
+        return np.broadcast_to(value, (len(t), n, n))
+    if value.shape == (len(t), n, n):
+        return value
+    raise CoefficientShapeInvalid(
+        f"coefficient has shape {value.shape}; expected ({len(t)}, {n}, {n}) or ({n}, {n})")
 
 
 @dataclass
 class SLProblem:
-    """Coefficients of one Sturm-Liouville problem on an open interval."""
+    """Coefficients of one Sturm-Liouville problem on an open interval.
+
+    ``p``, ``q``, ``r`` are constants or callables t -> array, and ``c`` is
+    a callable (s, t) -> array; ``coefficients`` is the only sampler.  A
+    scalar constant means scalar * I, and an (n, n) constant is used as is.
+    A callable is called once per array of instants, with t of shape
+    (k, 1, 1), so that formulas written as for one instant, such as
+    ``q / t**2``, broadcast.  It returns (k, n, n), or (n, n) when it does
+    not depend on t; any other shape raises CoefficientShapeInvalid.
+    """
 
     dim: int
     interval: tuple
@@ -87,11 +101,6 @@ class SLProblem:
     endpoints: tuple = (REGULAR, REGULAR)
     catalog: str | None = None
     params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.p = _as_matrix_fun(self.p, self.dim)
-        self.q = _as_matrix_fun(self.q, self.dim)
-        self.r = _as_matrix_fun(self.r, self.dim)
 
     @property
     def a(self):
@@ -105,27 +114,15 @@ class SLProblem:
     def space(self) -> SymplecticSpace:
         return SymplecticSpace.standard(self.dim)
 
-    def coefficients(self, t, s=None):
-        P, Q, R = self.p(t), self.q(t), self.r(t)
+    def coefficients(self, ts, s: float | None = None):
+        """(P, Q, R) at every t in ts, each of shape (len(ts), n, n), with
+        c(s, .) added to R when s is given; CoefficientShapeInvalid when a
+        coefficient returns any other shape."""
+        t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
+        P, Q, R = (_sample(f, t, self.dim) for f in (self.p, self.q, self.r))
         if s is not None and self.c is not None:
-            R = R + np.atleast_2d(np.asarray(self.c(s, t), dtype=float)).reshape(self.dim, self.dim)
+            R = R + _sample(lambda u: self.c(s, u), t, self.dim)
         return P, Q, R
-
-    def stacked_coefficients(self, ts, s=None):
-        """(P, Q, R) at every t in ts, each stacked as a (len(ts), n, n)
-        array; one ``coefficients`` call per instant."""
-        return tuple(np.array(block) for block in zip(*(self.coefficients(t, s) for t in ts)))
-
-    def at_parameter(self, s: float) -> "SLProblem":
-        """Freeze the perturbation at parameter s into the zero-order term."""
-        if self.c is None or s == 0:
-            return self
-        rfun, cfun = self.r, self.c
-
-        def r_eff(t):
-            return rfun(t) + np.atleast_2d(np.asarray(cfun(s, t), float))
-
-        return replace(self, r=r_eff, c=None)
 
     def singular_end(self):
         """0 for a singular left endpoint, 1 for right, None when none declared."""
@@ -139,11 +136,11 @@ def hamiltonians(problem: SLProblem, ts, s: float | None = None) -> np.ndarray:
     """H(t) for every t in ts, stacked as a (len(ts), 2n, 2n) array, so that
     l x = 0 is z' = J H(t) z.
 
-    The coefficients are sampled by ``stacked_coefficients``; P is inverted
-    in one batch.  CoefficientSingular when P is not invertible at some node.
+    The coefficients are sampled in one call; P is inverted in one batch.
+    CoefficientSingular when P is not invertible at some node.
     """
     n = problem.dim
-    P, Q, R = problem.stacked_coefficients(ts, s)
+    P, Q, R = problem.coefficients(ts, s)
     try:
         Pinv = np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:
@@ -417,7 +414,7 @@ def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
     ref_path = LagrangianPath.constant(reference, c, d)
 
     dirichlet_like = np.allclose(reference.frame, dirichlet_frame(problem.space).frame)
-    P_mid = problem.p(0.5 * (c + d))
+    P_mid = problem.coefficients([0.5 * (c + d)])[0][0]
     positive_p = bool(np.all(np.linalg.eigvalsh(0.5 * (P_mid + P_mid.T)) > 0))
     _, records = maslov_clm(ref_path, path, (c, d),
                             _counterclockwise=dirichlet_like and positive_p)
@@ -674,47 +671,15 @@ def singular_boundary_chart(problem: SLProblem, kernel_data,
 
 def boundary_chart(problem: SLProblem) -> BoundaryChart:
     """Dispatch: analytic chart for catalog problems with a kernel basis,
-    endpoint-evaluation chart for regular problems, shooting otherwise."""
+    endpoint-evaluation chart for regular problems; KernelBasisUnavailable
+    for any other singular end."""
     if problem.catalog in ("bessel", "bessel_r"):
         from .bessel import bessel_boundary_chart
         return bessel_boundary_chart(problem)
     if problem.singular_end() is None:
         return regular_boundary_chart(problem)
-    return shooting_boundary_chart(problem)
-
-
-def shooting_boundary_chart(problem: SLProblem, delta: float = 1e-4,
-                            shrink_steps: int = 6) -> BoundaryChart:
-    """Numeric chart for a left-singular limit-circle problem: kernel basis by
-    integrating all solutions from the regular end, bracket limits by a Cauchy
-    test over a geometric sequence of cutoffs."""
-    if problem.singular_end() != 0:
-        raise KernelBasisUnavailable("shooting chart implemented for left-singular problems")
-    n = problem.dim
-    a, b = problem.interval
-    cut = a + delta * 2.0 ** (-shrink_steps)
-    fs = fundamental_solution(problem, b, (cut, b))
-
-    def solution_data(i):
-        def data(t):
-            z = fs.matrix(t)[:, i]
-            return z[n:], z[:n]
-        return data
-
-    kernel_data = [solution_data(i) for i in range(2 * n)]
-    seq = [a + delta * 2.0 ** (-k) for k in range(shrink_steps + 1)]
-    grams = []
-    for t in seq:
-        Z = fs.matrix(t)
-        G = np.empty((2 * n, 2 * n))
-        for i in range(2 * n):
-            for j in range(2 * n):
-                G[i, j] = boundary_bracket((Z[n:, i], Z[:n, i]), (Z[n:, j], Z[:n, j]))
-        grams.append(G)
-    if np.max(np.abs(grams[-1] - grams[-2])) > 1e-6 * max(1.0, np.max(np.abs(grams[-1]))):
-        raise BracketLimitDiverges("kernel bracket Gram matrix fails the Cauchy test")
-    chart = singular_boundary_chart(problem, kernel_data, grams[-1])
-    return chart
+    raise KernelBasisUnavailable(
+        "no kernel basis for a singular end outside the Bessel catalog entries")
 
 
 def trace_map(problem: SLProblem, f_data, kernel_basis=None,
@@ -831,14 +796,10 @@ def endpoint_classify(problem: SLProblem, endpoint) -> str:
     if not np.isfinite(t_end):
         return _classify_by_integration(problem, side)
     h0 = 1e-3 * (b - a)
-    probes = [t_end + h0 * 4.0 ** (-k) if side == 0 else t_end - h0 * 4.0 ** (-k)
-              for k in range(6)]
+    probes = t_end + (1 if side == 0 else -1) * h0 * 4.0 ** -np.arange(6)
     try:
-        vals = []
-        for t in probes:
-            P, Q, R = problem.coefficients(t)
-            vals.append(np.concatenate([np.linalg.inv(P).ravel(), Q.ravel(), R.ravel()]))
-        vals = np.array(vals)
+        P, Q, R = problem.coefficients(probes)
+        vals = np.concatenate([np.linalg.inv(P), Q, R], axis=1).reshape(len(probes), -1)
         sup = np.max(np.abs(vals))
         if np.max(np.abs(vals[-1] - vals[-2])) < 1e-6 * max(1.0, sup) and sup < 1e8:
             return REGULAR
@@ -869,22 +830,13 @@ def _classify_by_integration(problem: SLProblem, side: int) -> str:
     fs = fundamental_solution(problem, anchor, (min(lo, hi), max(lo, hi)),
                               tol=1e-8, drift_budget=1e30)
 
-    def gram_between(t0, t1):
-        nodes = np.geomspace(min(t0, t1), max(t0, t1), 33) if min(t0, t1) > 0 \
-            else np.linspace(min(t0, t1), max(t0, t1), 33)
-        G = np.zeros((2 * n, 2 * n))
-        for k in range(len(nodes) - 1):
-            tm = 0.5 * (nodes[k] + nodes[k + 1])
-            X = fs.matrix(tm)[n:, :]      # position rows of all solutions
-            G += (nodes[k + 1] - nodes[k]) * (X.T @ X)
-        return G
-
-    grams, total = [], np.zeros((2 * n, 2 * n))
-    prev = anchor
-    for cut in cutoffs:
-        total = total + gram_between(prev, cut)
-        grams.append(total.copy())
-        prev = cut
+    # Gram matrices of the position rows of all solutions from the anchor to
+    # each cutoff, by the midpoint rule on 32 cells between consecutive cutoffs
+    nodes = np.array([(np.geomspace if min(t0, t1) > 0 else np.linspace)(
+        min(t0, t1), max(t0, t1), 33) for t0, t1 in zip([anchor] + cutoffs[:-1], cutoffs)])
+    X = fs.matrices(0.5 * (nodes[:, :-1] + nodes[:, 1:]))[:, n:, :]
+    cells = np.einsum("k,kji,kjl->kil", np.diff(nodes, axis=1).ravel(), X, X)
+    grams = np.cumsum(cells.reshape(len(cutoffs), -1, 2 * n, 2 * n).sum(axis=1), axis=0)
 
     # growth ratio of each Gram eigenvalue per 4x cutoff refinement: a
     # square-integrable direction settles to ratio 1, a divergent one keeps a

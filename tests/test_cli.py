@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -206,6 +207,68 @@ class TestRunConfig:
         code = main(["run", "--config", str(cfg)])
         assert code == EXIT_OK
         assert json.loads(report.read_text())["verdict"] == 3
+
+    def test_every_schema_field_reaches_its_option(self, monkeypatch, tmp_path):
+        import symind.cli as cli
+
+        schema = json.loads((Path(cli.__file__).parent / "schemas"
+                             / "runconfig.schema.json").read_text())["properties"]
+        fields = [f"{key}.{sub}" if sub else key for key, spec in schema.items()
+                  for sub in (spec.get("properties") or [None]) if key != "command"]
+        # field -> (a command that takes it, the field's value, parsed options)
+        cases = {
+            "problem.name": ("morse", "harmonic", {"problem": "harmonic"}),
+            "problem.params": ("morse", {"omega": 3, "q": 0.5, "r": 0.2, "a": 1,
+                                         "interval": [0, 2]},
+                               {"omega": 3.0, "q": 0.5, "r": 0.2, "a": 1.0,
+                                "interval": [0.0, 2.0]}),
+            "problem.dim": ("morse", 2, {"dim": 2}),
+            "bc": ("morse", "neumann", {"bc": "neumann"}),
+            "numeric.N": ("spectral-flow", 256, {"N": 256}),
+            "numeric.delta_schedule": ("morse", [1e-2, 1e-3, 1e-4, 1e-5],
+                                       {"delta_schedule": [1e-2, 1e-3, 1e-4, 1e-5]}),
+            "numeric.window": ("bessel", [1e-3, 1.0], {"window": [1e-3, 1.0]}),
+            "numeric.s_range": ("spectral-flow", [0.0, 0.5], {"s_range": [0.0, 0.5]}),
+            "output.report": ("morse", "r.json", {"report": "r.json"}),
+            "output.csv": ("morse", "t.csv", {"csv": "t.csv"}),
+        }
+        assert sorted(fields) == sorted(cases)
+
+        seen = {}
+        for handler in ("cmd_morse", "cmd_spectral_flow", "cmd_bessel"):
+            monkeypatch.setattr(cli, handler, lambda args: seen.update(vars(args)) or EXIT_OK)
+        for field, (command, value, parsed) in cases.items():
+            cfg = {"command": command}
+            if command != "bessel":
+                cfg["problem"] = {"name": "free"}
+            section, _, key = field.partition(".")
+            if key:
+                cfg.setdefault(section, {})[key] = value
+            else:
+                cfg[section] = value
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            seen.clear()
+            assert main(["run", "--config", str(path)]) == EXIT_OK, field
+            assert {k: seen[k] for k in parsed} == parsed, field
+
+    def test_field_without_option_is_config_invalid(self, capsys, tmp_path):
+        configs = [
+            {"command": "morse", "problem": {"name": "harmonic", "params": {"omega": 2}},
+             "numeric": {"N": 256}},
+            # --window would prefix spectral-flow's --window-gap
+            {"command": "spectral-flow", "problem": {"name": "free"},
+             "numeric": {"window": [0.0, 1.0]}},
+            {"command": "bessel", "problem": {"name": "bessel", "params": {"q": -10}}},
+            {"command": "morse", "problem": {"name": "free"}, "numeric": {"jobs": 2}},
+            {"command": "morse", "problem": {"name": "free"}, "bc": {"frame": [[1], [0]]}},
+        ]
+        for cfg in configs:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            code, _, err = run_cli(["run", "--config", str(path)], capsys)
+            assert code == EXIT_ERROR, cfg
+            assert "ConfigInvalid" in err, cfg
 
 
 class TestDeterminismAndExitCodes:

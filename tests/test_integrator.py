@@ -48,7 +48,7 @@ class TestLongSpan:
         # x'' = -t x on (0, 500): the frequency rises to sqrt(500), so the
         # steps shrink along the span; about 65000 of them are needed
         L = 500.0
-        prob = SLProblem(1, (0.0, L), 1.0, 0.0, lambda t: np.array([[-t]]))
+        prob = SLProblem(1, (0.0, L), 1.0, 0.0, lambda t: -t)
         fs = fundamental_solution(prob, 0.0, (0.0, L))
 
         def Z(t):
@@ -74,9 +74,9 @@ def _random_problem(dim, rng):
     Q0, Q1 = rng.standard_normal((dim, dim)), rng.standard_normal((dim, dim))
     R0, R1 = sym(3.0), sym(3.0)
     return SLProblem(dim, (0.0, 1.0),
-                     lambda t: np.eye(dim) + 0.4 * math.sin(3.0 * t) * S,
+                     lambda t: np.eye(dim) + 0.4 * np.sin(3.0 * t) * S,
                      lambda t: Q0 + t * Q1,
-                     lambda t: R0 + math.cos(5.0 * t) * R1)
+                     lambda t: R0 + np.cos(5.0 * t) * R1)
 
 
 class TestSymplecticProperty:

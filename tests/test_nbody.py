@@ -250,7 +250,7 @@ class TestCatalogHook:
                             motion="total-collision", d=2)
         assert prob.dim == 4                      # d * n_bodies
         assert prob.interval == (0.0, 1.0)
-        R = prob.r(0.5)
+        R = prob.coefficients([0.5])[2][0]
         eigs = np.sort(np.linalg.eigvalsh(R * 0.25))   # R(t) = diag(beta)/t^2
         assert np.min(np.abs(eigs - 4.0 / 9.0)) < 1e-9
         assert "bbar_eigs" in prob.params
@@ -261,7 +261,8 @@ class TestCatalogHook:
                             motion="hyperbolic", d=2)
         assert prob.interval[0] == 1.0
         # R(t) = diag(beta)/t^3
-        assert np.allclose(prob.r(2.0) * 8.0, prob.r(1.0), atol=1e-12)
+        R = prob.coefficients([1.0, 2.0])[2]
+        assert np.allclose(R[1] * 8.0, R[0], atol=1e-12)
 
 
 class TestIngestion:

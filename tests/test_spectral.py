@@ -67,7 +67,7 @@ def dense_reference(problem, bc, N, s=None):
     F = np.zeros((total, total))
     Mass = np.zeros((total, total))
     for i in range(N + 1):
-        Pm, Qm, _ = problem.coefficients(c + h * (i + 0.5), s)
+        Pm, Qm, _ = (X[0] for X in problem.coefficients([c + h * (i + 0.5)], s))
         Pi, Smid = Pm / h, Qm + Qm.T
         sl_i, sl_j = slice(n * i, n * (i + 1)), slice(n * (i + 1), n * (i + 2))
         F[sl_i, sl_i] += Pi - 0.5 * Smid
@@ -77,12 +77,12 @@ def dense_reference(problem, bc, N, s=None):
     for i in range(N + 2):
         w = 0.5 if i in (0, N + 1) else 1.0
         sl = slice(n * i, n * (i + 1))
-        F[sl, sl] += w * h * problem.coefficients(nodes[i], s)[2]
+        F[sl, sl] += w * h * problem.coefficients([nodes[i]], s)[2][0]
         Mass[sl, sl] = w * h * np.eye(n)
 
     frame = _resolve_discrete_bc(problem, bc)
-    Pa, Qa, _ = problem.coefficients(nodes[0], s)
-    Pb, Qb, _ = problem.coefficients(nodes[-1], s)
+    Pa, Qa, _ = (X[0] for X in problem.coefficients([nodes[0]], s))
+    Pb, Qb, _ = (X[0] for X in problem.coefficients([nodes[-1]], s))
     sl0, sl1 = slice(0, n), slice(n, 2 * n)
     slN, slE = slice(n * N, n * (N + 1)), slice(n * (N + 1), n * (N + 2))
     F[sl0, sl0] += -Pa / h + 0.5 * (Qa + Qa.T)
@@ -126,9 +126,9 @@ def coupled_dim2_problem():
     """dim 2 with t-dependent P, nonzero non-symmetric Q and a coupling R."""
     return SLProblem(
         2, (0.0, 1.0),
-        lambda t: np.array([[1.5 + t, 0.3], [0.3, 1.0 + t * t]]),
-        lambda t: np.array([[0.4 * t, 0.7], [-0.2, 0.1]]),
-        lambda t: np.array([[-30.0, 4.0 * t], [4.0 * t, -12.0 + 5.0 * t]]))
+        lambda t: np.block([[1.5 + t, 0.3 + 0 * t], [0.3 + 0 * t, 1.0 + t * t]]),
+        lambda t: np.block([[0.4 * t, 0.7 + 0 * t], [-0.2 + 0 * t, 0.1 + 0 * t]]),
+        lambda t: np.block([[-30.0 + 0 * t, 4.0 * t], [4.0 * t, -12.0 + 5.0 * t]]))
 
 
 class TestDiscretize:

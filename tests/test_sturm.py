@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from symind.bessel import singular_solutions, solution_data
-from symind.catalog import make_problem
+from symind.catalog import load_problem_csv, make_problem
 from symind.core import SymplecticSpace, dirichlet_frame, neumann_frame
 from symind.errors import (
     BracketLimitDiverges,
+    CoefficientShapeInvalid,
     CoefficientSingular,
+    KernelBasisUnavailable,
     ScheduleTooShort,
 )
 from symind.report import INFINITE
@@ -58,9 +60,52 @@ class TestHamiltonianReduction:
         assert dz[0] == pytest.approx(-4.0 * -0.2)  # u' = R x
 
     def test_singular_p_raises(self):
-        prob = SLProblem(1, (0.0, 1.0), lambda t: np.array([[t]]), 0.0, 0.0)
+        prob = SLProblem(1, (0.0, 1.0), lambda t: t, 0.0, 0.0)
         with pytest.raises(CoefficientSingular):
             hamiltonians(prob, [0.0])
+
+
+class TestCoefficientContract:
+    def test_one_by_one_array_of_t_raises(self):
+        # np.array([[t]]) nests the (k, 1, 1) instants instead of returning them
+        prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, lambda t: np.array([[t]]))
+        with pytest.raises(CoefficientShapeInvalid, match=r"\(3, 1, 1\) or \(1, 1\)"):
+            prob.coefficients([0.1, 0.2, 0.3])
+
+    def test_scalar_formula_in_dim_two_raises(self):
+        prob = SLProblem(2, (0.0, 1.0), 1.0, 0.0, lambda t: 2.0 / t ** 2)
+        with pytest.raises(CoefficientShapeInvalid):
+            prob.coefficients([0.1, 0.2, 0.3])
+
+    def test_scalar_constant_is_multiple_of_identity(self):
+        P, Q, R = SLProblem(3, (0.0, 1.0), 2.0, 0.0, -1.5).coefficients([0.1, 0.5])
+        assert P.shape == Q.shape == R.shape == (2, 3, 3)
+        assert np.array_equal(P, np.broadcast_to(2.0 * np.eye(3), (2, 3, 3)))
+        assert np.array_equal(Q, np.zeros((2, 3, 3)))
+        assert np.array_equal(R, np.broadcast_to(-1.5 * np.eye(3), (2, 3, 3)))
+
+    def test_t_independent_perturbation_broadcasts(self):
+        D, C = np.diag([1.0, -2.0]), np.array([[0.0, 1.0], [1.0, 3.0]])
+        prob = SLProblem(2, (0.0, 1.0), 1.0, 0.0, lambda t: D / (1.0 + t),
+                         c=lambda s, t: s * C)
+        ts = np.array([0.1, 0.5, 0.9])
+        _, _, R = prob.coefficients(ts, s=0.5)
+        assert np.allclose(R, D / (1.0 + ts[:, None, None]) + 0.5 * C, rtol=0, atol=1e-15)
+        assert np.allclose(prob.coefficients(ts)[2], D / (1.0 + ts[:, None, None]))
+
+    def test_csv_table_reproduced_at_its_nodes(self, tmp_path):
+        t = np.array([0.0, 0.3, 0.1, 0.55, 0.7, 0.2, 1.0])     # unsorted on purpose
+        blocks = {"P": np.stack([[1.0 + t * t, 0.2 * t], [0.2 * t, 2.0 + np.sin(t)]]),
+                  "Q": np.stack([[t, -t], [0.5 + 0 * t, t ** 3]]),
+                  "R": np.stack([[np.cos(t), 4.0 * t], [4.0 * t, -3.0 + 0 * t]])}
+        columns = {"t": t} | {f"{X}_{i + 1}{j + 1}": M[i, j]
+                              for X, M in blocks.items() for i in range(2) for j in range(2)}
+        table = tmp_path / "coefficients.csv"
+        np.savetxt(table, np.column_stack(list(columns.values())), delimiter=",",
+                   header=",".join(columns), comments="")
+        sampled = load_problem_csv(str(table), 2).coefficients(t)
+        for X, got in zip("PQR", sampled):
+            assert np.max(np.abs(got - np.moveaxis(blocks[X], -1, 0))) < 1e-12
 
 
 class TestFundamentalSolution:
@@ -272,7 +317,7 @@ class TestEndpointClassify:
         # same coefficients as bessel q=2 but without the catalog tag: the
         # tail-sum oracle must find exactly one square-integrable direction
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0,
-                         lambda t: np.array([[2.0 / t ** 2]]),
+                         lambda t: 2.0 / t ** 2,
                          endpoints=("Unknown", REGULAR))
         assert endpoint_classify(prob, "a") == LIMIT_POINT
 
@@ -280,14 +325,14 @@ class TestEndpointClassify:
         # right end at infinity, where the tail oracle integrates over 4^8
         # units: -(t^4 x')' - (9/4 + 400) t^2 x = 0 has the solutions
         # t^(-3/2) cos(20 ln t), t^(-3/2) sin(20 ln t), both square-integrable
-        prob = SLProblem(1, (1.0, np.inf), lambda t: np.array([[t ** 4]]), 0.0,
-                         lambda t: np.array([[-(2.25 + 400.0) * t ** 2]]),
+        prob = SLProblem(1, (1.0, np.inf), lambda t: t ** 4, 0.0,
+                         lambda t: -(2.25 + 400.0) * t ** 2,
                          endpoints=(REGULAR, "Unknown"))
         assert endpoint_classify(prob, "b") == LIMIT_CIRCLE
 
     def test_integration_oracle_limit_circle(self):
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0,
-                         lambda t: np.array([[0.5 / t ** 2]]),
+                         lambda t: 0.5 / t ** 2,
                          endpoints=("Unknown", REGULAR))
         assert endpoint_classify(prob, "a") == LIMIT_CIRCLE
 
@@ -350,6 +395,13 @@ class TestTraceMap:
 
 
 class TestMorseIndexGeneral:
+    def test_singular_end_outside_catalog_has_no_chart(self):
+        # Bessel q = 0.3 coefficients without the catalog tag: no kernel basis
+        prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, lambda t: 0.3 / t ** 2,
+                         endpoints=(LIMIT_CIRCLE, REGULAR))
+        with pytest.raises(KernelBasisUnavailable):
+            boundary_chart(prob)
+
     def test_dirichlet_matches_dirichlet_route(self):
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
         rep = morse_index_general(prob, BoundaryCondition("dirichlet"))
