@@ -14,7 +14,7 @@ from symind.sturm import SLProblem
 problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
                     c=lambda s, t: np.array([[-100.0 * s]]))
 
-out = verify_sf_formula(problem, "dirichlet", (0.0, 1.0), N=256, window_gap=40.0)
+out = verify_sf_formula(problem, "dirichlet", (0.0, 1.0), N=256)
 print("spectral flow:", out["sf"])
 print("maslov index: ", out["maslov"])
 print("spfl = -mu:   ", out["agree"])

@@ -185,8 +185,7 @@ def cmd_spectral_flow(args) -> int:
 
     problem = replace(base, c=c)
     out = verify_sf_formula(problem, args.bc or "dirichlet",
-                            tuple(args.s_range), N=args.N,
-                            window_gap=args.window_gap)
+                            tuple(args.s_range), N=args.N)
     verdict, reason = int(out["sf"]), None
     if not out["agree"]:
         verdict = UNDETERMINED
@@ -276,7 +275,6 @@ _RUN_OPTIONS = {
     "bc": "--bc",
     "numeric.N": "--N",
     "numeric.delta_schedule": "--delta-schedule",
-    "numeric.window": "--window",
     "numeric.s_range": "--s-range",
     "output.report": "--report",
     "output.csv": "--csv",
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "singular Sturm-Liouville operators")
     parser.add_argument("--version", action="version", version=__version__)
     # exact option names only, so that no run-config field lands on an
-    # option it merely prefixes (numeric.window on --window-gap)
+    # option it merely prefixes
     sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
         argparse.ArgumentParser, allow_abbrev=False))
 
@@ -402,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero-order ramp coefficient: C(s, t) = ramp * s")
     p.add_argument("--s-range", nargs=2, type=float, default=(0.0, 1.0))
     p.add_argument("--N", type=int, default=512)
-    p.add_argument("--window-gap", type=float, default=40.0)
     common(p)
     p.set_defaults(func=cmd_spectral_flow)
 
@@ -440,9 +437,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "catalog" and args.action == "describe" and not args.name:
-        parser.error("catalog describe needs a name")
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "catalog" and args.action == "describe" and not args.name:
+            parser.error("catalog describe needs a name")
+    except SystemExit as exc:
+        if exc.code == 0:        # --help, --version
+            raise
+        # argparse has printed the usage error; 2 is kept for Undetermined
+        return EXIT_ERROR
     try:
         return args.func(args)
     except SymindError as exc:

@@ -254,8 +254,9 @@ def symplectic_residual(M: SymplecticMatrix) -> float:
 
 
 def graph_lagrangian(M: SymplecticMatrix, tol: float = 1e-8) -> LagrangianFrame:
-    """Frame of {(v, Mv)} in the product space (-Omega) (+) Omega."""
-    if symplectic_residual(M) > tol:
+    """Frame of {(v, Mv)} in the product space (-Omega) (+) Omega.  The
+    residual is checked against tol (1 + max|M|^2), the scale of M^T J M."""
+    if symplectic_residual(M) > tol * (1.0 + np.max(np.abs(M.entries)) ** 2):
         raise NotSymplectic("graph of a non-symplectic matrix is not Lagrangian")
     n = M.space.half_dim
     prod = SymplecticSpace.minus_plus(n, n)

@@ -85,10 +85,6 @@ class BCEliminationSingular(SymindError):
     """Boundary unknowns cannot be eliminated against the condition frame."""
 
 
-class NoSpectralGap(SymindError):
-    """No margin free of spectrum could be found near zero."""
-
-
 class TransversalityViolated(SymindError):
     """Boundary path meets the reference Lagrangian off the base point."""
 

@@ -37,14 +37,12 @@ from .core import (
 from .errors import (
     BCEliminationSingular,
     GridTooCoarse,
-    NoSpectralGap,
     SpaceMismatch,
     TransversalityViolated,
 )
 from .maslov import LagrangianPath, maslov_clm
 from .sturm import SLProblem, fundamental_solution
 
-MAX_CELL_DEPTH = 12     # bisections of one spectral-flow cell whose margin count moves
 _TINY = 1e-300          # stands in for an exactly zero Sturm pivot
 
 
@@ -164,9 +162,6 @@ class DiscreteOperator:
             S = self.matrix - key * self.mass
             self._count_cache[key] = _negative_pivots(S[0], S[1])
         return self._count_cache[key]
-
-    def count_in(self, lo: float, hi: float) -> int:
-        return self.count_below(hi) - self.count_below(lo)
 
     def morse_count(self, zero_band: float | None = None) -> int:
         band = self.default_zero_band() if zero_band is None else zero_band
@@ -325,73 +320,23 @@ def discretize_neumann_ghost(problem: SLProblem, N: int, span: tuple | None = No
 # -- spectral flow -------------------------------------------------------------
 
 
-class _FamilyCache:
-    def __init__(self, factory):
-        self._factory = factory
-        self._cache = {}
+def spectral_flow(family, s_interval, window_gap=None,
+                  kernel_band: float | None = None) -> int:
+    """Net number of eigenvalues crossing -kernel_band upward along the
+    family: the count below it at the start minus the count at the end.
 
-    def __call__(self, s: float) -> DiscreteOperator:
-        key = float(s)
-        if key not in self._cache:
-            self._cache[key] = self._factory(key)
-        return self._cache[key]
-
-
-def _find_margin(ops, window_gap, kernel_band):
-    """Largest margin a <= window_gap with an eigenvalue-free zone of +-5%
-    around it for every operator in ``ops``."""
-    a = window_gap
-    for _ in range(40):
-        if all(op.count_below(1.05 * a) == op.count_below(0.95 * a) for op in ops) \
-                and a > 2.0 * kernel_band:
-            return a
-        a *= 0.8
-    raise NoSpectralGap("no margin free of spectrum near zero at this grid size")
-
-
-def spectral_flow(family, s_interval, window_gap: float = 1.0,
-                  kernel_band: float | None = None, max_cells: int = 256) -> int:
-    """Net eigenvalue count crossing zero along the family, by partitioned
-    counting: sum over cells of #[0, a_i] at the right end minus the left end.
-
-    A cell counts only when as many eigenvalues lie below its margin a_i at
-    both ends; otherwise eigenvalues crossed the margin inside it, and it is
-    bisected, at most MAX_CELL_DEPTH times.  The partition is refined until
-    two consecutive refinements agree, which realizes partition
-    independence; counts use (-band, a_i] so that eigenvalues inside the
-    kernel band count as zero.
+    The operators of a discretized family have one fixed size, so along a
+    continuous path the spectral flow through a level is the change of the
+    number of eigenvalues below it between the two ends (Robbin & Salamon
+    1995, Phillips 1996); only the two ends are discretized.  Eigenvalues
+    inside the kernel band (default: the start operator's
+    ``default_zero_band``) count as zero.  ``window_gap`` is accepted and
+    ignored: the ``ramp_flow`` operation of ``perfbench`` still passes it.
     """
-    fam = family if isinstance(family, _FamilyCache) else _FamilyCache(family)
     s0, s1 = s_interval
-    band = fam(s0).default_zero_band() if kernel_band is None else kernel_band
-
-    def flow_with(cells):
-        ss = np.linspace(s0, s1, cells + 1)
-        stack = [(ss[i], ss[i + 1], 0) for i in range(cells)]
-        total = 0
-        while stack:
-            lo, hi, depth = stack.pop()
-            left, right = fam(lo), fam(hi)
-            a = _find_margin((left, right), window_gap, band)
-            if left.count_below(a) == right.count_below(a):
-                total += right.count_in(-band, a) - left.count_in(-band, a)
-            elif depth == MAX_CELL_DEPTH:
-                raise NoSpectralGap(
-                    f"eigenvalues still cross the margin {a:.3g} inside [{lo:.6g}, {hi:.6g}]")
-            else:
-                mid = 0.5 * (lo + hi)
-                stack += [(lo, mid, depth + 1), (mid, hi, depth + 1)]
-        return total
-
-    cells = 8
-    prev = flow_with(cells)
-    while cells <= max_cells:
-        cells *= 2
-        cur = flow_with(cells)
-        if cur == prev:
-            return cur
-        prev = cur
-    raise NoSpectralGap(f"flow did not stabilize below {max_cells} cells")
+    start, end = family(s0), family(s1)
+    band = start.default_zero_band() if kernel_band is None else kernel_band
+    return start.count_below(-band) - end.count_below(-band)
 
 
 def discretized_family(problem: SLProblem, bc, N: int, span: tuple | None = None):
@@ -399,10 +344,10 @@ def discretized_family(problem: SLProblem, bc, N: int, span: tuple | None = None
     term and/or parameter-dependent boundary condition."""
     bc_fun = bc if callable(bc) and not isinstance(bc, LagrangianFrame) else (lambda s: bc)
 
-    def factory(s):
+    def family(s):
         return discretize(problem, bc_fun(s), N, s=s, span=span)
 
-    return _FamilyCache(factory)
+    return family
 
 
 # -- the spectral flow formula -------------------------------------------------
@@ -431,14 +376,14 @@ def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = No
 
 
 def verify_sf_formula(problem: SLProblem, bc, s_interval, N: int = 512,
-                      window_gap: float = 50.0, span: tuple | None = None) -> dict:
+                      span: tuple | None = None) -> dict:
     """Check spfl(L_{s, Lambda_s}) = -mu(Lambda_s, Graph(M_s)) on a regular
-    problem: the left side by partitioned eigenvalue counting of the
-    discretized family, the right side by the crossing machinery on the
+    problem: the left side by eigenvalue counts of the discretized family at
+    the two ends, the right side by the crossing machinery on the
     boundary-data paths."""
     s0, s1 = s_interval
     fam = discretized_family(problem, bc, N, span=span)
-    sf = spectral_flow(fam, s_interval, window_gap=window_gap)
+    sf = spectral_flow(fam, s_interval)
 
     bc_fun = bc if callable(bc) and not isinstance(bc, LagrangianFrame) else (lambda s: bc)
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
@@ -523,10 +468,11 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
 
 
 def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512,
-                     window_gap: float = 50.0, zero_band: float | None = None,
-                     span: tuple | None = None) -> dict:
-    """Evaluate iMor(L_1) - iMor(L_0) + spfl - mu(Lambda_F, Lambda_s) = 0
-    with all four terms computed independently on the discretized problem."""
+                     zero_band: float | None = None, span: tuple | None = None) -> dict:
+    """Evaluate iMor(L_1) - iMor(L_0) + spfl - mu(Lambda_F, Lambda_s) on the
+    discretized problem.  When bc_path(0) and bc_path(1) are bc0 and bc1, the
+    spectral flow is iMor(L_0) - iMor(L_1) by construction, so the residual
+    is -mu and the check tests the Maslov index of the boundary path."""
     op0 = discretize(problem, bc0, N, span=span)
     op1 = discretize(problem, bc1, N, span=span)
     i0 = op0.morse_count(zero_band)
@@ -534,7 +480,7 @@ def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512,
 
     fam = discretized_family(problem, bc_path, N, span=span)
     band = op0.default_zero_band() if zero_band is None else zero_band
-    sf = spectral_flow(fam, (0.0, 1.0), window_gap=window_gap, kernel_band=band)
+    sf = spectral_flow(fam, (0.0, 1.0), kernel_band=band)
 
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
     LD = dirichlet_frame(problem.space)
@@ -564,10 +510,9 @@ class EigenTrace:
 
     @staticmethod
     def collect(family, s_values, m: int = 6, gap: float | None = None) -> "EigenTrace":
-        fam = family if isinstance(family, _FamilyCache) else _FamilyCache(family)
         rows = []
         for s in s_values:
-            op = fam(s)
+            op = family(s)
             k = m
             w = op.eigenvalues(k=k)
             if gap is not None:

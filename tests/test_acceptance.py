@@ -98,12 +98,11 @@ class TestCriterion4SpectralFlowFormula:
         start = time.perf_counter()
         problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
                             c=lambda s, t: np.array([[-100.0 * s]]))
-        out = verify_sf_formula(problem, "dirichlet", (0.0, 1.0), N=512,
-                                window_gap=40.0)
+        out = verify_sf_formula(problem, "dirichlet", (0.0, 1.0), N=512)
         assert out["sf"] == -3 and out["maslov"] == 3
         assert out["sf"] == -out["maslov"]
         fam = discretized_family(problem, "dirichlet", 1024)
-        assert spectral_flow(fam, (0.0, 1.0), window_gap=40.0) == out["sf"]
+        assert spectral_flow(fam, (0.0, 1.0)) == out["sf"]
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0
         _report("4", f"(sf=-3 at N=512 and N=1024, maslov=+3, sf=-mu, {elapsed:.2f}s)")

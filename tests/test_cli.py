@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from symind.cli import EXIT_ERROR, EXIT_OK, EXIT_UNDETERMINED, main
 from symind.report import UNDETERMINED
@@ -86,8 +87,8 @@ class TestSpectralFlowCommand:
         assert rep["diagnostics"]["agree"] is True
 
     def test_fast_ramp_counts_every_crossing(self, capsys):
-        # -u'' - 300 s u has k pi < sqrt(300) for k = 1..5; its eigenvalues
-        # pass the spectral margin inside cells, so both routes must see 5
+        # -u'' - 300 s u has k pi < sqrt(300) for k = 1..5, so both routes
+        # must see 5
         code, out, _ = run_cli(["spectral-flow", "--problem", "free",
                                 "--ramp", "-300", "--N", "512"], capsys)
         assert code == EXIT_OK
@@ -111,6 +112,17 @@ class TestSpectralFlowCommand:
         assert rep["diagnostics"]["agree"] is False
         assert "spectral flow -1" in rep["reason"] and "Maslov index 3" in rep["reason"]
 
+    @pytest.mark.parametrize("ramp", ["200", "400"])
+    def test_stiff_monodromy_is_symplectic(self, capsys, ramp):
+        # -u'' + ramp s u has no eigenvalue below zero; its monodromy reaches
+        # max|M| ~ 1e7 at ramp 200, where the absolute residual of M^T J M - J
+        # is 1e-4 but relative to |M|^2 it is roundoff
+        code, out, _ = run_cli(["spectral-flow", "--problem", "free",
+                                "--ramp", ramp, "--N", "512"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == 0
+        assert rep["diagnostics"]["maslov"] == 0
 
     def test_two_dimensional_coefficient_table(self, capsys, tmp_path):
         # -(P x')' - 30 s x with P = diag(1, 2) on (0, 1), Dirichlet: pi^2 < 30
@@ -227,7 +239,6 @@ class TestRunConfig:
             "numeric.N": ("spectral-flow", 256, {"N": 256}),
             "numeric.delta_schedule": ("morse", [1e-2, 1e-3, 1e-4, 1e-5],
                                        {"delta_schedule": [1e-2, 1e-3, 1e-4, 1e-5]}),
-            "numeric.window": ("bessel", [1e-3, 1.0], {"window": [1e-3, 1.0]}),
             "numeric.s_range": ("spectral-flow", [0.0, 0.5], {"s_range": [0.0, 0.5]}),
             "output.report": ("morse", "r.json", {"report": "r.json"}),
             "output.csv": ("morse", "t.csv", {"csv": "t.csv"}),
@@ -235,12 +246,10 @@ class TestRunConfig:
         assert sorted(fields) == sorted(cases)
 
         seen = {}
-        for handler in ("cmd_morse", "cmd_spectral_flow", "cmd_bessel"):
+        for handler in ("cmd_morse", "cmd_spectral_flow"):
             monkeypatch.setattr(cli, handler, lambda args: seen.update(vars(args)) or EXIT_OK)
         for field, (command, value, parsed) in cases.items():
-            cfg = {"command": command}
-            if command != "bessel":
-                cfg["problem"] = {"name": "free"}
+            cfg = {"command": command, "problem": {"name": "free"}}
             section, _, key = field.partition(".")
             if key:
                 cfg.setdefault(section, {})[key] = value
@@ -252,11 +261,30 @@ class TestRunConfig:
             assert main(["run", "--config", str(path)]) == EXIT_OK, field
             assert {k: seen[k] for k in parsed} == parsed, field
 
+    def test_every_schema_command_runs(self, monkeypatch, tmp_path):
+        import symind.cli as cli
+
+        schema = json.loads((Path(cli.__file__).parent / "schemas"
+                             / "runconfig.schema.json").read_text())["properties"]
+        configs = {"conjugate": {"problem": {"name": "free"}},
+                   "morse": {"problem": {"name": "free"}},
+                   "spectral-flow": {"problem": {"name": "free"}},
+                   "rellich": {"numeric": {"N": 256}}}
+        assert sorted(schema["command"]["enum"]) == sorted(configs)
+        ran = []
+        for handler in ("cmd_conjugate", "cmd_morse", "cmd_spectral_flow", "cmd_rellich"):
+            monkeypatch.setattr(cli, handler, lambda args: ran.append(args.command) or EXIT_OK)
+        for command, cfg in configs.items():
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"command": command, **cfg}))
+            assert main(["run", "--config", str(path)]) == EXIT_OK, command
+        assert ran == list(configs)
+
     def test_field_without_option_is_config_invalid(self, capsys, tmp_path):
         configs = [
             {"command": "morse", "problem": {"name": "harmonic", "params": {"omega": 2}},
              "numeric": {"N": 256}},
-            # --window would prefix spectral-flow's --window-gap
+            # numeric.window is no run-config field
             {"command": "spectral-flow", "problem": {"name": "free"},
              "numeric": {"window": [0.0, 1.0]}},
             {"command": "bessel", "problem": {"name": "bessel", "params": {"q": -10}}},
@@ -272,6 +300,19 @@ class TestRunConfig:
 
 
 class TestDeterminismAndExitCodes:
+    @pytest.mark.parametrize("argv", [["morse", "--problem", "harmonic", "--N", "5"],
+                                      ["catalog", "describe"]])
+    def test_usage_error_exits_one(self, capsys, argv):
+        # exit 2 is reserved for Undetermined
+        code, _, err = run_cli(argv, capsys)
+        assert code == EXIT_ERROR
+        assert "usage" in err
+
+    def test_version_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
         for path in (r1, r2):

@@ -8,6 +8,8 @@ Dirichlet/Neumann/mixed conditions; synthetic diagonal families.
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symind.catalog import make_problem
 from symind.core import (
@@ -18,7 +20,7 @@ from symind.core import (
     line_frame,
     rotation_matrix,
 )
-from symind.errors import GridTooCoarse, NoSpectralGap, TransversalityViolated
+from symind.errors import GridTooCoarse, TransversalityViolated
 from symind.spectral import (
     DiscreteOperator,
     EigenTrace,
@@ -240,63 +242,80 @@ class TestSpectralFlow:
     def test_single_upward_crossing(self):
         # A + sI with one eigenvalue -1/2 in (-1, 0), none in [0, 1)
         fam = lambda s: synthetic_op([-0.5 + s, -3.0 + s * 0.0, 2.5, 7.0])
-        assert spectral_flow(fam, (0.0, 1.0), window_gap=0.75, kernel_band=1e-9) == 1
+        assert spectral_flow(fam, (0.0, 1.0), kernel_band=1e-9) == 1
 
     def test_constant_family_zero(self):
         fam = lambda s: synthetic_op([-1.0, 2.0, 5.0])
-        assert spectral_flow(fam, (0.0, 1.0), window_gap=0.5, kernel_band=1e-9) == 0
+        assert spectral_flow(fam, (0.0, 1.0), kernel_band=1e-9) == 0
 
     def test_harmonic_family_three_down(self):
         # R_s = -100 s on (0,1), Dirichlet: eigenvalues (k pi)^2 - 100 s
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
                          c=lambda s, t: np.array([[-100.0 * s]]))
         fam = discretized_family(prob, "dirichlet", 256)
-        assert spectral_flow(fam, (0.0, 1.0), window_gap=40.0) == -3
+        assert spectral_flow(fam, (0.0, 1.0)) == -3
 
     @pytest.mark.parametrize("R", [67.855, 68.0])
     def test_eigenvalue_crossing_the_margin_inside_a_cell(self, R):
-        # -u'' - R s u with pi^2 < 4 pi^2 < R: over the 8 and 16 initial
-        # cells an eigenvalue passes the margin inside a cell, which the
-        # counts at the cell ends alone miss (they gave -1)
+        # -u'' - R s u with pi^2 < 4 pi^2 < R: two eigenvalues fall through
+        # zero, the second one late in the path (4 pi^2 / R = 0.58)
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
                          c=lambda s, t: np.array([[-R * s]]))
         fam = discretized_family(prob, "dirichlet", 512)
-        assert spectral_flow(fam, (0.0, 1.0), window_gap=40.0) == -2
+        assert spectral_flow(fam, (0.0, 1.0)) == -2
 
-    def test_margin_crossings_that_never_settle_raise(self):
-        # an eigenvalue jumps across every margin at s = 1/3, which no dyadic
-        # cell boundary reaches
+    def test_jump_that_stays_above_zero_counts_nothing(self):
+        # an eigenvalue jumps from 0.3 to 2.0 at s = 1/3; none is ever
+        # below zero, so nothing flows
         fam = lambda s: synthetic_op([0.3 if s < 1.0 / 3.0 else 2.0, 5.0])
-        with pytest.raises(NoSpectralGap):
-            spectral_flow(fam, (0.0, 1.0), window_gap=0.75, kernel_band=1e-9)
+        assert spectral_flow(fam, (0.0, 1.0), kernel_band=1e-9) == 0
 
     def test_partition_independence(self):
         fam = lambda s: synthetic_op([-2.0 + 3.0 * s, 1.5 - 3.0 * s, 6.0])
-        f1 = spectral_flow(fam, (0.0, 1.0), window_gap=0.9, kernel_band=1e-9)
         # two crossings: one up (+1), one down (-1)
-        assert f1 == 0
+        assert spectral_flow(fam, (0.0, 1.0), kernel_band=1e-9) == 0
 
     def test_path_additivity(self):
         fam = lambda s: synthetic_op([-0.5 + s, 4.0])
-        gap = 0.75
-        full = spectral_flow(fam, (0.0, 1.0), window_gap=gap, kernel_band=1e-9)
-        left = spectral_flow(fam, (0.0, 0.3), window_gap=gap, kernel_band=1e-9)
-        right = spectral_flow(fam, (0.3, 1.0), window_gap=gap, kernel_band=1e-9)
+        full = spectral_flow(fam, (0.0, 1.0), kernel_band=1e-9)
+        left = spectral_flow(fam, (0.0, 0.3), kernel_band=1e-9)
+        right = spectral_flow(fam, (0.3, 1.0), kernel_band=1e-9)
         assert full == left + right == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(curves=st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=7),
+                           min_size=1, max_size=4),
+           split=st.floats(0.01, 0.99))
+    def test_piecewise_linear_curves(self, curves, split):
+        # eigenvalue curves piecewise linear through integer knots at equally
+        # spaced s, beside two constant eigenvalues far above; the level -1/4
+        # is never a knot value, so the passes through it are read off the knots
+        band = 0.25
+
+        def fam(s):
+            return synthetic_op([np.interp(s, np.linspace(0.0, 1.0, len(v)), v)
+                                 for v in curves] + [10.0, 20.0])
+
+        passes = sum(int(a < -band <= b) - int(b < -band <= a)
+                     for v in curves for a, b in zip(v, v[1:]))
+        full = spectral_flow(fam, (0.0, 1.0), kernel_band=band)
+        assert full == passes
+        assert full == (spectral_flow(fam, (0.0, split), kernel_band=band)
+                        + spectral_flow(fam, (split, 1.0), kernel_band=band))
 
 
 class TestVerifySfFormula:
     def test_harmonic_family(self):
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
                          c=lambda s, t: np.array([[-100.0 * s]]))
-        out = verify_sf_formula(prob, "dirichlet", (0.0, 1.0), N=256, window_gap=40.0)
+        out = verify_sf_formula(prob, "dirichlet", (0.0, 1.0), N=256)
         assert out["sf"] == -3
         assert out["maslov"] == 3
         assert out["agree"] is True
 
     def test_trivial_constant_family(self):
         prob = make_problem("harmonic", omega=0.5)   # no negative eigenvalues, no crossings
-        out = verify_sf_formula(prob, "dirichlet", (0.0, 1.0), N=128, window_gap=5.0)
+        out = verify_sf_formula(prob, "dirichlet", (0.0, 1.0), N=128)
         assert out["sf"] == 0 and out["maslov"] == 0 and out["agree"]
 
     def test_rotating_boundary_condition(self):
@@ -310,7 +329,7 @@ class TestVerifySfFormula:
             col = rotation_matrix(S1, -theta) @ LD.frame
             return direct_sum_frame(col, LD.frame)
 
-        out = verify_sf_formula(prob, bc, (0.0, 1.0), N=256, window_gap=6.0)
+        out = verify_sf_formula(prob, bc, (0.0, 1.0), N=256)
         assert out["agree"] is True
         assert abs(out["sf"]) == 1
 
@@ -370,7 +389,7 @@ class TestMorseJump:
     def test_constant_dirichlet_path(self):
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
         out = morse_jump_check(prob, "dirichlet", "dirichlet",
-                               lambda s: "dirichlet", N=256, window_gap=2.0)
+                               lambda s: "dirichlet", N=256)
         assert out["residual"] == 0
         assert out["imor1"] == out["imor0"] == 1
 
@@ -386,7 +405,7 @@ class TestMorseJump:
             return direct_sum_frame(col, LD.frame)
 
         out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path,
-                               N=256, window_gap=1.2)
+                               N=256)
         assert out["imor1"] - out["imor0"] == 1
         assert out["residual"] == 0
 
@@ -399,7 +418,7 @@ class TestMorseJump:
             return direct_sum_frame(col, LD.frame)
 
         out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path,
-                               N=256, window_gap=1.0)
+                               N=256)
         assert out["residual"] == 0
 
 
