@@ -256,12 +256,26 @@ def symplectic_residual(M: SymplecticMatrix) -> float:
 def graph_lagrangian(M: SymplecticMatrix, tol: float = 1e-8) -> LagrangianFrame:
     """Frame of {(v, Mv)} in the product space (-Omega) (+) Omega.  The
     residual is checked against tol (1 + max|M|^2), the scale of M^T J M."""
-    if symplectic_residual(M) > tol * (1.0 + np.max(np.abs(M.entries)) ** 2):
-        raise NotSymplectic("graph of a non-symplectic matrix is not Lagrangian")
     n = M.space.half_dim
-    prod = SymplecticSpace.minus_plus(n, n)
-    cols = np.vstack([np.eye(2 * n), M.entries])
-    return lagrangian_from_columns(prod, cols)
+    return LagrangianFrame(SymplecticSpace.minus_plus(n, n),
+                           stacked_graph_frames(M.space, M.entries[None], tol)[0])
+
+
+def stacked_graph_frames(space: SymplecticSpace, M, tol: float = 1e-8) -> np.ndarray:
+    """``graph_lagrangian`` over a stack: matrices (k, dim, dim) of ``space``
+    in, graph frames (k, 2 dim, dim) of the product space out.  Each
+    member's symplectic residual is checked against tol (1 + max|M|^2); the
+    first offending member raises NotSymplectic."""
+    M = np.asarray(M, dtype=float)
+    J = space.form
+    res = np.max(np.abs(np.swapaxes(M, 1, 2) @ J @ M - J), axis=(1, 2))
+    bad = np.flatnonzero(res > tol * (1.0 + np.max(np.abs(M), axis=(1, 2)) ** 2))
+    if bad.size:
+        raise NotSymplectic(f"graph of a non-symplectic matrix is not Lagrangian "
+                            f"(residual {res[bad[0]]:.3e})")
+    n = space.half_dim
+    cols = np.concatenate([np.broadcast_to(np.eye(2 * n), M.shape), M], axis=1)
+    return stacked_lagrangian_frames(SymplecticSpace.minus_plus(n, n), cols)
 
 
 def apply_symplectic(M: SymplecticMatrix, L: LagrangianFrame, tol: float = 1e-8) -> LagrangianFrame:

@@ -22,7 +22,9 @@ grid on which both paths move little, which needs no regular-crossing
 assumption.  Eigenphases are paired between samples by eigenvector overlap.
 At t = a and t = b only, a phase within ENDPOINT_PHASE_TOL of 0 is an
 endpoint crossing and sits on the 2 pi side of the cut; this gives n_plus at
-a and -n_minus at b.  A product space (-Omega) (+) Omega is first mapped to
+a and -n_minus at b.  An endpoint phase that moves less than
+ENDPOINT_PHASE_TOL over the adjacent sample step stays at the cut, as on
+two constant paths that meet, and counts in n_zero.  A product space (-Omega) (+) Omega is first mapped to
 the standard one by negating the left p-block.
 
 ``crossing_form`` and ``relative_crossing_matrix`` compute crossing forms
@@ -445,9 +447,12 @@ def _confirm_half_turns(path1, path2, lo, hi, refs):
 
 def _endpoint_inertia(phase, step) -> InertiaTriple:
     """Directions of the phases at the cut at an end sample, from the
-    adjacent sample step."""
+    adjacent sample step; a phase that moves less than ENDPOINT_PHASE_TOL
+    over the step stays at the cut and counts as zero."""
     d = step[np.abs(phase) < ENDPOINT_PHASE_TOL]
-    return InertiaTriple(int(np.sum(d > 0)), int(np.sum(d == 0)), int(np.sum(d < 0)))
+    return InertiaTriple(int(np.sum(d >= ENDPOINT_PHASE_TOL)),
+                         int(np.sum(np.abs(d) < ENDPOINT_PHASE_TOL)),
+                         int(np.sum(d <= -ENDPOINT_PHASE_TOL)))
 
 
 def _crossings(path1, path2, a, b, counterclockwise):

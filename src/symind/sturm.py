@@ -114,14 +114,16 @@ class SLProblem:
     def space(self) -> SymplecticSpace:
         return SymplecticSpace.standard(self.dim)
 
-    def coefficients(self, ts, s: float | None = None):
+    def coefficients(self, ts, s=None):
         """(P, Q, R) at every t in ts, each of shape (len(ts), n, n), with
         c(s, .) added to R when s is given; CoefficientShapeInvalid when a
-        coefficient returns any other shape."""
+        coefficient returns any other shape.  For a 1-d array s, c is called
+        once per value and R, when c is given, is (len(s), len(ts), n, n)."""
         t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
         P, Q, R = (_sample(f, t, self.dim) for f in (self.p, self.q, self.r))
         if s is not None and self.c is not None:
-            R = R + _sample(lambda u: self.c(s, u), t, self.dim)
+            C = [_sample(lambda u: self.c(sk, u), t, self.dim) for sk in np.ravel(s).tolist()]
+            R = R + np.reshape(C, np.shape(s) + R.shape)
         return P, Q, R
 
     def singular_end(self):
@@ -132,11 +134,13 @@ class SLProblem:
         return None
 
 
-def hamiltonians(problem: SLProblem, ts, s: float | None = None) -> np.ndarray:
+def hamiltonians(problem: SLProblem, ts, s=None) -> np.ndarray:
     """H(t) for every t in ts, stacked as a (len(ts), 2n, 2n) array, so that
-    l x = 0 is z' = J H(t) z.
+    l x = 0 is z' = J H(t) z.  For a 1-d array s the result is
+    (len(s), len(ts), 2n, 2n), one stack per parameter value.
 
-    The coefficients are sampled in one call; P is inverted in one batch.
+    P, Q and R are sampled in one call and P is inverted in one batch, for
+    every s at once; only c(s, .) is sampled per value.
     CoefficientSingular when P is not invertible at some node.
     """
     n = problem.dim
@@ -147,12 +151,13 @@ def hamiltonians(problem: SLProblem, ts, s: float | None = None) -> np.ndarray:
         raise CoefficientSingular(
             f"P(t) is singular for some t in [{min(ts)}, {max(ts)}]") from exc
     QT = np.swapaxes(Q, 1, 2)
-    H = np.empty((len(P), 2 * n, 2 * n))
-    H[:, :n, :n] = -Pinv
-    H[:, :n, n:] = Pinv @ Q
-    H[:, n:, :n] = QT @ Pinv
-    H[:, n:, n:] = R - QT @ H[:, :n, n:]
-    return 0.5 * (H + np.swapaxes(H, 1, 2))
+    PinvQ = Pinv @ Q
+    H = np.empty((() if s is None else np.shape(s)) + (len(P), 2 * n, 2 * n))
+    H[..., :n, :n] = -Pinv
+    H[..., :n, n:] = PinvQ
+    H[..., n:, :n] = QT @ Pinv
+    H[..., n:, n:] = R - QT @ PinvQ
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 # Gauss-Legendre nodes of one sixth-order Magnus step, as fractions of the step
@@ -197,6 +202,29 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
+def _step_matrices(problem: SLProblem, s, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
+    """exp(Omega) of the Magnus step t_from[k] -> t_to[k] for every k and
+    every parameter value: (len(s), k, m, m) for a 1-d array s, and
+    (1, k, m, m) when s is None."""
+    h = t_to - t_from
+    m = 2 * problem.dim
+    ts = (t_from[:, None] + h[:, None] * _GAUSS).ravel()
+    A = (problem.space.form @ hamiltonians(problem, ts, s)).reshape(-1, 3, m, m)
+    K = len(A) // len(h)
+    return _expm(_magnus_exponents(A, np.concatenate([h] * K))).reshape(K, len(h), m, m)
+
+
+def _chain(E: np.ndarray) -> np.ndarray:
+    """The products I, E[:, 0], E[:, 1] E[:, 0], ... of consecutive steps,
+    for every member of the leading axis."""
+    M = np.empty((E.shape[1] + 1,) + E.shape[:1] + E.shape[2:])
+    M[0] = np.eye(E.shape[-1])
+    out = list(M)                      # one product per step, written in place
+    for k, step in enumerate(np.swapaxes(E, 0, 1)):
+        np.matmul(step, out[k], out=out[k + 1])
+    return np.swapaxes(M, 0, 1)
+
+
 class FundamentalSolution:
     """gamma(t) with gamma(t0) = I by a sixth-order Magnus integrator.
 
@@ -214,6 +242,10 @@ class FundamentalSolution:
     logged at every node and checked against the drift budget.  Evaluation
     between nodes is one partial Magnus step from the node on the base-point
     side, batched over all requested instants by ``matrices``.
+
+    The refinement loop (``_integrate``) carries a leading axis of parameter
+    values s: ``monodromies`` runs it once for a whole batch of s on one
+    shared step grid, and a FundamentalSolution is its one-member case.
 
     Drift bookkeeping is scale-free: the logged residual is
     max|M^T J M - J| / (1 + max|M|^2), which coincides with the absolute
@@ -238,85 +270,91 @@ class FundamentalSolution:
         self.drift_budget = drift_budget
         self.drift_log: list = []
         self.steps: dict = {}            # accepted Magnus steps per direction
-        self._s = s
-        self._J = problem.space.form
+        self._s = None if s is None else np.array([s], dtype=float)
         self._branches = {}              # direction -> (direction * nodes, matrices)
         for direction, far, name in ((1, d, "forward"), (-1, c, "backward")):
             if far != self.t0:
-                with np.errstate(over="ignore", invalid="ignore"):    # coarse steps may overflow
-                    nodes, M = self._integrate(far)
-                self._branches[direction] = (direction * nodes, M)
+                nodes, M, res = self._integrate(problem, self.t0, far, self._s, tol, drift_budget)
+                self.drift_log.extend(zip(nodes[1:].tolist(), res[0, 1:].tolist()))
+                self._branches[direction] = (direction * nodes, M[0])
                 self.steps[name] = len(nodes) - 1
 
-    def _step_matrices(self, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
-        """exp(Omega) of the Magnus step t_from[k] -> t_to[k], for every k."""
-        h = t_to - t_from
-        m = self._J.shape[0]
-        ts = (t_from[:, None] + h[:, None] * _GAUSS).ravel()
-        A = self._J @ hamiltonians(self.problem, ts, self._s)
-        return _expm(_magnus_exponents(A.reshape(len(h), 3, m, m), h))
+    @classmethod
+    @np.errstate(over="ignore", invalid="ignore")      # coarse steps may overflow
+    def _integrate(cls, problem: SLProblem, t0: float, far: float, s, tol: float,
+                   drift_budget: float):
+        """The refinement from t0 to far for every value of the 1-d array s
+        (one member when s is None) on one shared step grid.
 
-    def _chain(self, E: np.ndarray) -> np.ndarray:
-        """The products I, E[0], E[1] E[0], ... of consecutive steps."""
-        M = np.empty((len(E) + 1,) + self._J.shape)
-        M[0] = np.eye(self._J.shape[0])
-        for k, step in enumerate(E):
-            M[k + 1] = step @ M[k]
-        return M
-
-    def _integrate(self, far: float):
-        lo, hi = sorted((self.t0, far))
+        Returns the nodes (k + 1,), the flow at them (K, k + 1, m, m) and the
+        scale-free drift residuals (K, k + 1).  The Richardson estimate is
+        checked per member, and a step is split when its own estimate fails
+        for any member whose check failed.  The step-size and drift checks
+        name the first member that fails them.
+        """
+        lo, hi = sorted((t0, far))
         geometric = lo > 0 and hi / lo > 50.0
         warp = np.log if geometric else np.asarray     # steps are uniform in warp(t)
-        width = abs(float(warp(far) - warp(self.t0)))
+        width = abs(float(warp(far) - warp(t0)))
+        m = 2 * problem.dim
+
+        def member(k):
+            return "" if s is None else f" for s={float(s[k])!r}"
 
         def bisect_steps(seg, whole):
             """(start, mid, end) and (whole, first half, second half) of the
             steps seg[k, 0] -> seg[k, 1] whose exponentials are ``whole``."""
             mid = np.sqrt(seg[:, 0] * seg[:, 1]) if geometric else seg.mean(axis=1)
-            halves = self._step_matrices(np.concatenate([seg[:, 0], mid]),
-                                         np.concatenate([mid, seg[:, 1]]))
+            halves = _step_matrices(problem, s, np.concatenate([seg[:, 0], mid]),
+                                    np.concatenate([mid, seg[:, 1]]))
             return (np.column_stack([seg[:, 0], mid, seg[:, 1]]),
-                    np.stack([whole, *np.split(halves, 2)], axis=1))
+                    np.stack([whole, *np.split(halves, 2, axis=1)], axis=2))
 
-        grid = (np.geomspace if geometric else np.linspace)(self.t0, far, self.INITIAL_STEPS + 1)
+        grid = (np.geomspace if geometric else np.linspace)(t0, far, cls.INITIAL_STEPS + 1)
         seg, E = bisect_steps(np.column_stack([grid[:-1], grid[1:]]),
-                              self._step_matrices(grid[:-1], grid[1:]))
+                              _step_matrices(problem, s, grid[:-1], grid[1:]))
+        K = E.shape[0]
         while True:
-            M = self._chain(E[:, 1:].reshape((-1,) + self._J.shape))
-            size = np.maximum(1.0, np.max(np.abs(M[::2]), axis=(1, 2)))
+            M = _chain(E[:, :, 1:].reshape(K, -1, m, m))
+            size = np.maximum(1.0, np.max(np.abs(M[:, ::2]), axis=(2, 3)))
             # Richardson estimate of the error of the halved steps, sixth order
-            err = np.max(np.abs(M[::2] - self._chain(E[:, 0])), axis=(1, 2)) / (63.0 * size)
-            if np.max(err) <= self.tol:
+            err = np.max(np.abs(M[:, ::2] - _chain(E[:, :, 0])), axis=(2, 3)) / (63.0 * size)
+            if np.max(err) <= tol:
                 break
-            fine = E[:, 2] @ E[:, 1]
-            local = np.max(np.abs(fine - E[:, 0]), axis=(1, 2)) / (
-                63.0 * np.maximum(1.0, np.max(np.abs(fine), axis=(1, 2))))
+            fine = E[:, :, 2] @ E[:, :, 1]
+            local = np.max(np.abs(fine - E[:, :, 0]), axis=(2, 3)) / (
+                63.0 * np.maximum(1.0, np.max(np.abs(fine), axis=(2, 3))))
             share = np.abs(warp(seg[:, 2]) - warp(seg[:, 0])) / width
-            # a NaN estimate (overflow) splits; below eps the estimate is roundoff
-            split = ~(local <= np.maximum(self.tol * share, _EPS))
+            # a NaN estimate (overflow) splits; below eps the estimate is
+            # roundoff; members that passed their Richardson check do not vote
+            failed = ~(local <= np.maximum(tol * share, _EPS))
+            failed &= ~(np.max(err, axis=1) <= tol)[:, None]
+            split = failed.any(axis=0)
             if not split.any():
                 break
-            if np.any(share[split] <= 2.0 ** -self.MAX_DEPTH):
+            tiny = failed[:, split & (share <= 2.0 ** -cls.MAX_DEPTH)]
+            if tiny.any():
                 raise StepSizeUnderflow(
-                    f"Magnus step below 2^-{self.MAX_DEPTH} of [{lo:.3e}, {hi:.3e}] "
-                    f"needed for tol {self.tol:.1e}")
-            new_seg, new_E = bisect_steps(np.concatenate([seg[split, :2], seg[split, 1:]]),
-                                          np.concatenate([E[split, 1], E[split, 2]]))
-            seg, E = np.concatenate([seg[~split], new_seg]), np.concatenate([E[~split], new_E])
-            order = np.argsort(np.abs(seg[:, 0] - self.t0))    # outward from the base point
-            seg, E = seg[order], E[order]
+                    f"Magnus step below 2^-{cls.MAX_DEPTH} of [{lo:.3e}, {hi:.3e}] "
+                    f"needed for tol {tol:.1e}{member(np.flatnonzero(tiny.any(axis=1))[0])}")
+            new_seg, new_E = bisect_steps(
+                np.concatenate([seg[split, :2], seg[split, 1:]]),
+                np.concatenate([E[:, split, 1], E[:, split, 2]], axis=1))
+            seg = np.concatenate([seg[~split], new_seg])
+            E = np.concatenate([E[:, ~split], new_E], axis=1)
+            order = np.argsort(np.abs(seg[:, 0] - t0))    # outward from the base point
+            seg, E = seg[order], E[:, order]
         nodes = np.append(seg[:, :2].ravel(), far)
 
-        J = self._J
-        scale = 1.0 + np.max(np.abs(M), axis=(1, 2)) ** 2
-        res = np.max(np.abs(np.swapaxes(M, 1, 2) @ J @ M - J), axis=(1, 2)) / scale
-        self.drift_log.extend(zip(nodes[1:].tolist(), res[1:].tolist()))
-        worst = int(np.argmax(res))
-        if not res[worst] <= self.drift_budget:
+        J = problem.space.form
+        scale = 1.0 + np.max(np.abs(M), axis=(2, 3)) ** 2
+        res = np.max(np.abs(np.swapaxes(M, 2, 3) @ J @ M - J), axis=(2, 3)) / scale
+        if not np.max(res) <= drift_budget:
+            k = np.flatnonzero(~(np.max(res, axis=1) <= drift_budget))[0]
+            worst = np.argmax(res[k])
             raise DriftBudgetExceeded(
-                f"normalized drift {res[worst]:.2e} at t={nodes[worst]:.3e}")
-        return nodes, M
+                f"normalized drift {res[k, worst]:.2e} at t={nodes[worst]:.3e}{member(k)}")
+        return nodes, M, res
 
     def matrices(self, ts) -> np.ndarray:
         """gamma(t) for every t in ts, stacked as (len(ts), 2n, 2n).
@@ -331,15 +369,16 @@ class FundamentalSolution:
         if outside.any():
             raise ValueError(f"t={ts[outside][0]} outside the integrated span {self.span}")
         ts = np.clip(ts, c, d)
-        out = np.empty((len(ts),) + self._J.shape)
-        out[ts == self.t0] = np.eye(self._J.shape[0])
+        m = 2 * self.problem.dim
+        out = np.empty((len(ts), m, m))
+        out[ts == self.t0] = np.eye(m)
         for direction, (keys, mats) in self._branches.items():
             sel = np.flatnonzero(direction * (ts - self.t0) > 0)
             k = np.searchsorted(keys, direction * ts[sel], side="right") - 1
             base, M = direction * keys[k], mats[k]
             off = base != ts[sel]
             if off.any():
-                M[off] = self._step_matrices(base[off], ts[sel][off]) @ M[off]
+                M[off] = _step_matrices(self.problem, self._s, base[off], ts[sel][off])[0] @ M[off]
             out[sel] = M
         return out
 
@@ -381,6 +420,23 @@ class FundamentalSolution:
 def fundamental_solution(problem: SLProblem, t0: float, span: tuple,
                          **kwargs) -> FundamentalSolution:
     return FundamentalSolution(problem, t0, span, **kwargs)
+
+
+def monodromies(problem: SLProblem, span: tuple, s, tol: float = MAGNUS_TOL,
+                drift_budget: float = DRIFT_BUDGET) -> np.ndarray:
+    """gamma_s(d) with gamma_s(c) = I on span = (c, d), for every value of
+    the 1-d array s, stacked as (len(s), 2n, 2n).
+
+    One Magnus run covers the batch: P, Q and R are sampled once per array
+    of instants, and a step of the shared grid is split where the estimate
+    of any member fails.  Each member passes the checks of
+    ``FundamentalSolution(problem, c, span, s=s_k)`` and raises its errors.
+    """
+    c, d = float(span[0]), float(span[1])
+    if not c < d:
+        raise ValueError("span must be nontrivial")
+    s = np.asarray(s, dtype=float).reshape(-1)
+    return FundamentalSolution._integrate(problem, c, d, s, tol, drift_budget)[1][:, -1]
 
 
 def boundary_bracket(f_data, g_data) -> float:

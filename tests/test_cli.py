@@ -97,6 +97,34 @@ class TestSpectralFlowCommand:
         assert rep["diagnostics"]["maslov"] == 5
         assert rep["diagnostics"]["agree"] is True
 
+    @pytest.mark.parametrize("R", [13.0 + 21.0 * ((0.5 + i * (math.sqrt(5.0) - 1.0) / 2.0) % 1.0)
+                                   for i in range(8)])
+    def test_one_crossing_ramp(self, capsys, R):
+        # -u'' - R s u, Dirichlet on (0, 1), pi^2 < R < 4 pi^2: the lowest
+        # eigenvalue crosses zero once, upward in the Maslov count, at s = pi^2 / R
+        code, out, _ = run_cli(["spectral-flow", "--problem", "free",
+                                "--ramp", repr(-R), "--N", "512"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == -1
+        assert rep["diagnostics"]["maslov"] == 1
+        [crossing] = rep["crossings"]
+        assert crossing["multiplicity"] == 1 and crossing["inertia"] == [1, 0, 0]
+        assert crossing["s"] == pytest.approx(math.pi ** 2 / R, rel=1e-12)
+
+    def test_standing_kernel_is_no_flow(self, capsys):
+        # -u'' - 4 u on (0, pi) with no ramp: sin 2t stays in the kernel for
+        # every s, so nothing crosses; both ends record a stationary crossing
+        code, out, _ = run_cli(["spectral-flow", "--problem", "harmonic", "--omega", "2",
+                                "--interval", "0", str(math.pi), "--ramp", "0",
+                                "--N", "256"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == 0
+        assert rep["diagnostics"]["maslov"] == 0
+        assert [(c["s"], c["inertia"]) for c in rep["crossings"]] == [(0.0, [0, 1, 0]),
+                                                                      (1.0, [0, 1, 0])]
+
     def test_route_disagreement_is_undetermined(self, capsys, monkeypatch):
         # a spectral-flow count of -1 against the Maslov route's 3 must give
         # neither count as the verdict

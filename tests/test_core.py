@@ -21,6 +21,7 @@ from symind.core import (
     random_lagrangian,
     random_symplectic,
     rotation_matrix,
+    stacked_graph_frames,
     stacked_lagrangian_frames,
     stacked_principal_sines,
     symplectic_residual,
@@ -192,6 +193,10 @@ def test_stacked_helpers_equal_the_scalar_ones(n):
     for k in range(len(A)):
         expected = principal_sines(LagrangianFrame(space, A[k]), LagrangianFrame(space, B[k]))
         assert np.array_equal(sines[k], expected)
+    maps = [random_symplectic(space, rng, scale=0.5) for _ in range(5)]
+    graphs = stacked_graph_frames(space, np.array([M.entries for M in maps]))
+    for G, M in zip(graphs, maps):
+        assert np.array_equal(G, graph_lagrangian(M).frame)
 
 
 def test_stacked_frames_raise_for_any_bad_member():
@@ -203,6 +208,8 @@ def test_stacked_frames_raise_for_any_bad_member():
     flat = np.column_stack([good[:, 0], good[:, 0]])
     with pytest.raises(RankDeficient):
         stacked_lagrangian_frames(S2, np.array([good, good, flat]))
+    with pytest.raises(NotSymplectic):
+        stacked_graph_frames(S1, np.array([np.eye(2), np.eye(2) + 1e-3, np.eye(2)]))
 
 
 def test_intersection_basis_lies_in_both():

@@ -117,6 +117,18 @@ class TestMaslovClm:
         mu, _ = maslov_clm(ref, mov)
         assert mu == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_constant_self_pair_is_zero(self, n, seed):
+        # the phases of W = I sit at the cut and move only by roundoff
+        # (about 1e-33 per step), so both endpoints count them as zero
+        L = random_lagrangian(SymplecticSpace.standard(n), np.random.default_rng(seed))
+        mu, recs = maslov_clm(LagrangianPath.constant(L, 0.0, 1.0),
+                              LagrangianPath.constant(L, 0.0, 1.0))
+        assert mu == 0
+        assert [(r.t, r.inertia) for r in recs] == [(0.0, InertiaTriple(0, n, 0)),
+                                                    (1.0, InertiaTriple(0, n, 0))]
+
     def test_full_turn_is_two(self):
         # one full half-turn of a line meets the reference twice; over [eps,
         # pi+eps] both crossings are interior and each scores +1

@@ -1,9 +1,13 @@
 """Discretization, inertia counting, spectral flow, the boundary Maslov
-identity, ghost eigenvalues, and the Morse jump identity.
+identity, batched monodromies, ghost eigenvalues, and the Morse jump
+identity.
 
 Oracles: closed-form spectra of -d^2/dt^2 + const on intervals with
-Dirichlet/Neumann/mixed conditions; synthetic diagonal families.
+Dirichlet/Neumann/mixed conditions; synthetic diagonal families; one
+fundamental solution per parameter against the batched Magnus run.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,13 +18,20 @@ from hypothesis import strategies as st
 from symind.catalog import make_problem
 from symind.core import (
     LagrangianFrame,
+    SymplecticMatrix,
     SymplecticSpace,
     dirichlet_frame,
     direct_sum_frame,
+    graph_lagrangian,
     line_frame,
     rotation_matrix,
 )
-from symind.errors import GridTooCoarse, TransversalityViolated
+from symind.errors import (
+    DriftBudgetExceeded,
+    GridTooCoarse,
+    StepSizeUnderflow,
+    TransversalityViolated,
+)
 from symind.spectral import (
     DiscreteOperator,
     EigenTrace,
@@ -28,12 +39,13 @@ from symind.spectral import (
     discretize,
     discretize_neumann_ghost,
     discretized_family,
+    monodromy_graph_path,
     morse_jump_check,
     rellich_ghosts,
     spectral_flow,
     verify_sf_formula,
 )
-from symind.sturm import SLProblem
+from symind.sturm import FundamentalSolution, SLProblem, fundamental_solution, monodromies
 
 S1 = SymplecticSpace.standard(1)
 
@@ -152,6 +164,23 @@ class TestDiscretize:
     def test_harmonic_negative_count(self):
         op = discretize(make_problem("harmonic", omega=10.0), "dirichlet", 512)
         assert op.morse_count() == 3
+
+    @pytest.mark.parametrize("N", [256, 512])
+    def test_kernel_band_keeps_a_small_negative_eigenvalue(self, N):
+        # the lowest Dirichlet eigenvalue is -0.121; a band of 30 (d - c) / N
+        # (0.368 at N = 256, 0.184 at 512) swallowed it
+        op = discretize(make_problem("mathieu", a=-1.5, q=0.4), "dirichlet", N)
+        assert op.eigenvalues(k=1)[0] == pytest.approx(-0.121, abs=1e-3)
+        assert op.morse_count() == 1
+
+    @pytest.mark.parametrize("N", [256, 512, 4096])
+    @pytest.mark.parametrize("omega", range(2, 11))
+    def test_kernel_band_covers_a_fast_zero_mode(self, omega, N):
+        # -u'' - omega^2 u on (0, pi) has the eigenvalue 0 at mode omega; the
+        # scheme puts it near -omega^4 h^2 / 12, which is beyond 30 h^2 for
+        # omega >= 5, so the band grows with |R P^-1 R| = omega^4
+        prob = make_problem("harmonic", omega=float(omega), interval=(0.0, np.pi))
+        assert discretize(prob, "dirichlet", N).morse_count() == omega - 1
 
     def test_count_below_matches_eigenvalues(self):
         op = discretize(make_problem("harmonic", omega=10.0), "dirichlet", 128)
@@ -334,6 +363,75 @@ class TestVerifySfFormula:
         assert abs(out["sf"]) == 1
 
 
+def ramp_problem(R):
+    """-u'' - R s u on (0, 1); the coefficients do not depend on t."""
+    return SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=lambda s, t: np.array([[-R * s]]))
+
+
+class TestBatchedMonodromies:
+    """One stacked Magnus run over many s against one FundamentalSolution per s."""
+
+    @staticmethod
+    def one_by_one(problem, s_values):
+        c, d = problem.interval
+        return np.array([fundamental_solution(problem, c, (c, d), s=s).matrix(d) for s in s_values])
+
+    @staticmethod
+    def relative_gap(A, B):
+        return np.max(np.abs(A - B), axis=(1, 2)) / np.maximum(1.0, np.max(np.abs(B), axis=(1, 2)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: ramp_problem(25.0),
+        lambda: replace(coupled_dim2_problem(), c=lambda s, t: -10.0 * s * np.eye(2)),
+    ], ids=["ramp", "dim2"])
+    def test_batch_equals_one_solution_per_s(self, make):
+        # every member needs the same step grid on its own here, so the
+        # shared grid is each member's own
+        problem = make()
+        s = np.linspace(0.0, 1.0, 33)
+        batched = monodromies(problem, problem.interval, s)
+        assert batched.shape == (33, 2 * problem.dim, 2 * problem.dim)
+        assert np.all(self.relative_gap(batched, self.one_by_one(problem, s)) <= 1e-12)
+
+    def test_members_on_a_finer_shared_grid_stay_within_tol(self):
+        # with c = -40 s I only s = 1 needs more than 64 steps; the members
+        # that ride on its finer grid move toward a tol = 1e-14 reference
+        problem = replace(coupled_dim2_problem(), c=lambda s, t: -40.0 * s * np.eye(2))
+        s = np.linspace(0.0, 1.0, 9)
+        batched = monodromies(problem, problem.interval, s)
+        single = self.one_by_one(problem, s)
+        reference = monodromies(problem, problem.interval, s, tol=1e-14)
+        assert np.all(self.relative_gap(batched, single) <= 1e-10)
+        assert np.all(self.relative_gap(batched, reference) <= self.relative_gap(single, reference))
+
+    def test_underflowing_member_raises_as_its_single_build(self, monkeypatch):
+        problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=lambda s, t: -1e4 * s * (1.0 + t))
+        monkeypatch.setattr(FundamentalSolution, "MAX_DEPTH", 3)    # no step may split
+        fundamental_solution(problem, 0.0, (0.0, 1.0), s=0.0)      # the free flow is exact
+        with pytest.raises(StepSizeUnderflow, match="for s=1.0"):
+            fundamental_solution(problem, 0.0, (0.0, 1.0), s=1.0)
+        with pytest.raises(StepSizeUnderflow, match="for s=1.0"):
+            monodromies(problem, (0.0, 1.0), [0.0, 1.0])
+
+    def test_drifting_member_raises_as_its_single_build(self):
+        problem = ramp_problem(1e4)
+        fundamental_solution(problem, 0.0, (0.0, 1.0), s=0.0, drift_budget=0.0)
+        with pytest.raises(DriftBudgetExceeded, match="for s=1.0"):
+            fundamental_solution(problem, 0.0, (0.0, 1.0), s=1.0, drift_budget=0.0)
+        with pytest.raises(DriftBudgetExceeded, match="for s=1.0"):
+            monodromies(problem, (0.0, 1.0), [0.0, 1.0], drift_budget=0.0)
+
+    @pytest.mark.parametrize("make", [lambda: ramp_problem(25.0), coupled_dim2_problem],
+                             ids=["ramp", "dim2"])
+    def test_graph_path_batch_equals_one_graph_per_s(self, make):
+        problem = make()
+        s = np.linspace(0.0, 1.0, 7)
+        frames = monodromy_graph_path(problem, (0.0, 1.0)).frames(s)
+        for F, M in zip(frames, self.one_by_one(problem, s)):
+            expected = graph_lagrangian(SymplecticMatrix(problem.space, M), tol=1e-6).frame
+            assert np.max(np.abs(F - expected)) <= 1e-12
+
+
 class TestRellichGhosts:
     def make_setup(self):
         delta = 1e-3
@@ -407,7 +505,28 @@ class TestMorseJump:
         out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path,
                                N=256)
         assert out["imor1"] - out["imor0"] == 1
+        assert out["maslov"] == 1
         assert out["residual"] == 0
+
+    def test_wrong_count_shows_in_the_residual(self, monkeypatch):
+        # the Maslov index comes from the ODE, not from eigenvalue counts, so
+        # a counting error at L_1 leaves a residual of one (a spectral flow
+        # counted by the same faulty inertia would cancel it)
+        import symind.spectral as spectral
+
+        prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
+        LD = dirichlet_frame(S1)
+
+        def bc_path(s):
+            return direct_sum_frame(rotation_matrix(S1, -s * np.pi / 2) @ LD.frame, LD.frame)
+
+        end = bc_path(1.0).frame
+        count = spectral.DiscreteOperator.count_below
+        monkeypatch.setattr(spectral.DiscreteOperator, "count_below", lambda self, tau: (
+            count(self, tau) + np.array_equal(getattr(self.bc, "frame", None), end)))
+        out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path, N=256)
+        assert out["imor1"] - out["imor0"] == 2
+        assert out["residual"] == 1
 
     def test_mathieu_random_rotation(self):
         prob = make_problem("mathieu", a=-1.5, q=0.4)
