@@ -114,16 +114,14 @@ class SLProblem:
     def space(self) -> SymplecticSpace:
         return SymplecticSpace.standard(self.dim)
 
-    def coefficients(self, ts, s=None):
+    def coefficients(self, ts, s: float | None = None):
         """(P, Q, R) at every t in ts, each of shape (len(ts), n, n), with
         c(s, .) added to R when s is given; CoefficientShapeInvalid when a
-        coefficient returns any other shape.  For a 1-d array s, c is called
-        once per value and R, when c is given, is (len(s), len(ts), n, n)."""
+        coefficient returns any other shape."""
         t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
         P, Q, R = (_sample(f, t, self.dim) for f in (self.p, self.q, self.r))
         if s is not None and self.c is not None:
-            C = [_sample(lambda u: self.c(sk, u), t, self.dim) for sk in np.ravel(s).tolist()]
-            R = R + np.reshape(C, np.shape(s) + R.shape)
+            R = R + _sample(lambda u: self.c(s, u), t, self.dim)
         return P, Q, R
 
     def singular_end(self):
@@ -134,17 +132,20 @@ class SLProblem:
         return None
 
 
-def hamiltonians(problem: SLProblem, ts, s=None) -> np.ndarray:
+def hamiltonians(problem: SLProblem, ts, s: np.ndarray | None = None) -> np.ndarray:
     """H(t) for every t in ts, stacked as a (len(ts), 2n, 2n) array, so that
-    l x = 0 is z' = J H(t) z.  For a 1-d array s the result is
-    (len(s), len(ts), 2n, 2n), one stack per parameter value.
+    l x = 0 is z' = J H(t) z.  For a 1-d array s of parameter values the
+    result is (len(s), len(ts), 2n, 2n), one stack per value.
 
     P, Q and R are sampled in one call and P is inverted in one batch, for
     every s at once; only c(s, .) is sampled per value.
     CoefficientSingular when P is not invertible at some node.
     """
     n = problem.dim
-    P, Q, R = problem.coefficients(ts, s)
+    P, Q, R = problem.coefficients(ts)
+    if s is not None and problem.c is not None:
+        t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
+        R = R + np.stack([_sample(lambda u: problem.c(sk, u), t, n) for sk in s.tolist()])
     try:
         Pinv = np.linalg.inv(P)
     except np.linalg.LinAlgError as exc:

@@ -112,6 +112,19 @@ class TestSpectralFlowCommand:
         assert crossing["multiplicity"] == 1 and crossing["inertia"] == [1, 0, 0]
         assert crossing["s"] == pytest.approx(math.pi ** 2 / R, rel=1e-12)
 
+    @pytest.mark.parametrize("shift, verdict", [(-1e-4, -1), (1e-3, -2)])
+    def test_ramp_next_to_the_second_eigenvalue(self, capsys, shift, verdict):
+        # R = 4 pi^2 + shift: the second eigenvalue at s = 1 is -shift, which
+        # the scheme puts 4.9e-4 lower; each end's own Morse count takes
+        # +1e-4 as zero and keeps -1e-3 negative, as the Maslov route does
+        R = 4.0 * math.pi ** 2 + shift
+        code, out, _ = run_cli(["spectral-flow", "--problem", "free",
+                                "--ramp", repr(-R), "--N", "512"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == verdict
+        assert rep["diagnostics"]["maslov"] == -verdict
+
     def test_standing_kernel_is_no_flow(self, capsys):
         # -u'' - 4 u on (0, pi) with no ramp: sin 2t stays in the kernel for
         # every s, so nothing crosses; both ends record a stationary crossing

@@ -178,9 +178,24 @@ class TestDiscretize:
     def test_kernel_band_covers_a_fast_zero_mode(self, omega, N):
         # -u'' - omega^2 u on (0, pi) has the eigenvalue 0 at mode omega; the
         # scheme puts it near -omega^4 h^2 / 12, which is beyond 30 h^2 for
-        # omega >= 5, so the band grows with |R P^-1 R| = omega^4
+        # omega >= 5, and potential_error adds it back
         prob = make_problem("harmonic", omega=float(omega), interval=(0.0, np.pi))
         assert discretize(prob, "dirichlet", N).morse_count() == omega - 1
+
+    @pytest.mark.parametrize("q, R, lowest", [(0.5, 60.0, [-46.66, -13.35]),
+                                              (-0.2, 90.0, [-81.66, -52.97, -3.88])])
+    def test_truncated_singular_end_keeps_negative_eigenvalues(self, q, R, lowest):
+        # q / t^2 - R on (0.01, 1): |q| / t^2 reaches 5000 or 2000 at t = 0.01,
+        # where no mode near zero lives, so a bound by the largest
+        # |V P^-1 V| over the grid (about 23 or 4 at N = 512) would take
+        # -13.35 or -3.88 for zero
+        prob = replace(make_problem("bessel", q=q, interval=(0.01, 1.0)),
+                       c=lambda s, t: np.array([[-R * s]]))
+        op = discretize(prob, "dirichlet", 512, s=1.0)
+        assert op.eigenvalues(k=len(lowest)) == pytest.approx(lowest, abs=0.01)
+        assert op.morse_count() == len(lowest)
+        out = verify_sf_formula(prob, "dirichlet", (0.0, 1.0), N=512)
+        assert (out["sf"], out["maslov"], out["agree"]) == (-len(lowest), len(lowest), True)
 
     def test_count_below_matches_eigenvalues(self):
         op = discretize(make_problem("harmonic", omega=10.0), "dirichlet", 128)
@@ -521,9 +536,9 @@ class TestMorseJump:
             return direct_sum_frame(rotation_matrix(S1, -s * np.pi / 2) @ LD.frame, LD.frame)
 
         end = bc_path(1.0).frame
-        count = spectral.DiscreteOperator.count_below
-        monkeypatch.setattr(spectral.DiscreteOperator, "count_below", lambda self, tau: (
-            count(self, tau) + np.array_equal(getattr(self.bc, "frame", None), end)))
+        count = spectral.DiscreteOperator.morse_count
+        monkeypatch.setattr(spectral.DiscreteOperator, "morse_count", lambda self, band=None: (
+            count(self, band) + np.array_equal(getattr(self.bc, "frame", None), end)))
         out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path, N=256)
         assert out["imor1"] - out["imor0"] == 2
         assert out["residual"] == 1
