@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +68,7 @@ def _emit(report: IndexReport, args, csv_rows=None, csv_header=None) -> int:
 def _provenance(args) -> dict:
     # output destinations do not affect results, so they stay out of the
     # hash: identical computations give byte-identical reports
-    skip = ("func", "report", "csv")
+    skip = ("report", "csv")
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in skip and v is not None}
     return {"toolkit_version": __version__, "config_hash": config_hash(cfg)}
@@ -321,13 +321,21 @@ def cmd_run(args) -> int:
     except SystemExit:
         # argparse has printed which option the command lacks or rejects
         raise ConfigInvalid(f"config does not fit the {argv[0]} command: {' '.join(argv)}") from None
-    return run_args.func(run_args)
+    return _dispatch(run_args)
 
 
 # -- parser ---------------------------------------------------------------------
 
 
+def _dispatch(args) -> int:
+    """Run the handler of the parsed command, ``cmd_<command>``, looked up
+    when it runs, so the parser built once holds no handler."""
+    return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="symind",
         description="symplectic intersection indices and Morse indices of "
@@ -357,40 +365,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bc", choices=("dirichlet", "neumann", "friedrichs"))
     p.add_argument("--delta-schedule", nargs="+", type=float)
     common(p)
-    p.set_defaults(func=cmd_morse)
 
     p = sub.add_parser("conjugate", help="conjugate points of a problem")
     problem_args(p)
     p.add_argument("--span", nargs=2, type=float)
     p.add_argument("--anchor", type=float)
     common(p)
-    p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("bessel", help="zero sequence / classification of a coupling")
     p.add_argument("--q", type=float)
     p.add_argument("--r", type=float)
     p.add_argument("--window", nargs=2, type=float)
     common(p)
-    p.set_defaults(func=cmd_bessel)
 
     p = sub.add_parser("maslov", help="index of a rotating line against a reference")
     p.add_argument("--angles", nargs=2, type=float, required=True)
     p.add_argument("--line", nargs=2, type=float, default=(1.0, 0.0))
     p.add_argument("--reference", nargs=2, type=float, default=(1.0, 0.0))
     common(p)
-    p.set_defaults(func=cmd_maslov)
 
     p = sub.add_parser("triple", help="triple index of three lines in R^2")
     for name in ("alpha", "beta", "gamma"):
         p.add_argument(f"--{name}", nargs=2, type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_triple)
 
     p = sub.add_parser("hormander", help="Hormander index of four lines in R^2")
     for name in ("l1", "l2", "m1", "m2"):
         p.add_argument(f"--{name}", nargs=2, type=float, required=True)
     common(p)
-    p.set_defaults(func=cmd_hormander)
 
     p = sub.add_parser("spectral-flow", help="spectral flow of a ramped family "
                                              "and the boundary Maslov identity")
@@ -401,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-range", nargs=2, type=float, default=(0.0, 1.0))
     p.add_argument("--N", type=int, default=512)
     common(p)
-    p.set_defaults(func=cmd_spectral_flow)
 
     p = sub.add_parser("rellich", help="ghost-eigenvalue scan for a rotating "
                                        "limit-circle boundary condition")
@@ -412,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=(0.4, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005))
     p.add_argument("--N", type=int, default=1024)
     common(p)
-    p.set_defaults(func=cmd_rellich)
 
     p = sub.add_parser("nbody", help="Morse classification of an asymptotic motion")
     p.add_argument("--config", required=True,
@@ -421,16 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total-collision | parabolic | hyperbolic")
     p.add_argument("--dimension", type=int, default=3)
     common(p)
-    p.set_defaults(func=cmd_nbody)
 
     p = sub.add_parser("catalog", help="list or describe builtin problems")
     p.add_argument("action", choices=("list", "describe"))
     p.add_argument("name", nargs="?")
-    p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("run", help="dispatch a JSON run configuration")
     p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_run)
 
     return parser
 
@@ -447,7 +444,7 @@ def main(argv=None) -> int:
         # argparse has printed the usage error; 2 is kept for Undetermined
         return EXIT_ERROR
     try:
-        return args.func(args)
+        return _dispatch(args)
     except SymindError as exc:
         print(f"error [symind.{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_ERROR

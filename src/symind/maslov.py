@@ -393,34 +393,45 @@ def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
 
     ``sign`` is +1 for a rising phase, -1 for a falling one, so that
     g = sign * phase has g_lo < 0 <= g_hi or g_lo <= 0 < g_hi.  All open
-    brackets step together: one Illinois (modified regula falsi) point each,
-    sampled in one batch per path with one stacked eig; a bracket that did
-    not halve in one wave bisects in the next.  A bracket is done at width
-    LOCATE_REL_TOL times its position or initial width.
+    brackets step together, sampled in one batch per path with one stacked
+    eig per wave, by Chandrupatla's method (Adv. Eng. Softw. 28, 1997): the
+    first point is the false-position point of the bracket, later ones the
+    inverse quadratic interpolant through the bracket ends and the point last
+    dropped, or the midpoint where the three values fail its validity test.
+    Each point is kept at least xtol / 2 inside the bracket, so a good
+    estimate closes it in one more wave.  A bracket is done at width xtol,
+    LOCATE_REL_TOL times its position or initial width; its root is the
+    false-position point of the final bracket.
     """
     xtol = LOCATE_REL_TOL * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), hi - lo)
     root = np.where(g_lo == 0, lo, np.where(g_hi == 0, hi, np.nan))
-    width, moved = hi - lo, np.zeros(lo.shape, int)
-    bisect = np.zeros(lo.shape, bool)
+    # x1 is the newest point, x2 the bracket's other end, x3 the point dropped
+    x1, f1, x2, f2 = hi.copy(), g_hi.copy(), lo.copy(), g_lo.copy()
+    x3, f3 = x1.copy(), f1.copy()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = f1 / (f1 - f2)
     while True:
-        i = np.flatnonzero(np.isnan(root) & (hi - lo > xtol))
+        i = np.flatnonzero(np.isnan(root) & (np.abs(x1 - x2) > xtol))
         if not i.size:
             break
-        t = lo[i] - g_lo[i] * (hi[i] - lo[i]) / (g_hi[i] - g_lo[i])
-        t = np.where(bisect[i] | ~((lo[i] < t) & (t < hi[i])), 0.5 * (lo[i] + hi[i]), t)
+        lim = 0.5 * xtol[i] / np.abs(x1[i] - x2[i])
+        t = x1[i] + np.clip(frac[i], lim, 1.0 - lim) * (x2[i] - x1[i])
         phase, refs[i] = _tracked_phases(path1, path2, t, refs[i])
         g = sign[i] * phase
         root[i[g == 0]] = t[g == 0]
-        left, right = i[g < 0], i[g > 0]
-        # Illinois: halve the stale end's value when the same end moves twice
-        g_hi[left[moved[left] == -1]] *= 0.5
-        g_lo[right[moved[right] == 1]] *= 0.5
-        lo[left], g_lo[left], moved[left] = t[g < 0], g[g < 0], -1
-        hi[right], g_hi[right], moved[right] = t[g > 0], g[g > 0], 1
-        bisect[i] = hi[i] - lo[i] > 0.5 * width[i]
-        width[i] = hi[i] - lo[i]
+        # the end on g's side of the root is dropped to x3; when g's sign
+        # differs from f1's, x1 becomes the bracket's other end
+        flip = i[np.sign(g) != np.sign(f1[i])]
+        x3[i], f3[i] = x1[i], f1[i]
+        x3[flip], f3[flip], x2[flip], f2[flip] = x2[flip], f2[flip], x1[flip], f1[flip]
+        x1[i], f1[i] = t, g
+        a, b, c, fa, fb, fc = x1[i], x2[i], x3[i], f1[i], f2[i], f3[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+            iqi = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        frac[i] = np.where((phi ** 2 < xi) & ((1.0 - phi) ** 2 < 1.0 - xi), iqi, 0.5)
     done = np.isnan(root)
-    root[done] = lo[done] - g_lo[done] * (hi[done] - lo[done]) / (g_hi[done] - g_lo[done])
+    root[done] = x2[done] - f2[done] * (x1[done] - x2[done]) / (f1[done] - f2[done])
     return root, xtol
 
 

@@ -398,12 +398,16 @@ def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = No
     crossing scan asks for in one batch: one stacked Magnus run for their
     monodromies (``sturm.monodromies``) and one stacked call for their graph
     frames, with ``graph_lagrangian``'s symplectic-residual check per member.
+    A problem without ``c`` has one monodromy for every s, so a batch then
+    integrates one member and repeats its frame.
     """
     c, d = problem.interval if span is None else span
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
 
     def many(ss):
-        return stacked_graph_frames(problem.space, monodromies(problem, (c, d), ss), tol=1e-6)
+        members = ss if problem.c is not None else ss[:1]
+        F = stacked_graph_frames(problem.space, monodromies(problem, (c, d), members), tol=1e-6)
+        return np.broadcast_to(F, (len(ss),) + F.shape[1:])
 
     def fun(s):
         return LagrangianFrame(prod, many(np.array([float(s)]))[0])

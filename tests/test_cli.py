@@ -354,6 +354,30 @@ class TestDeterminismAndExitCodes:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("argv", [["--help"], ["spectral-flow", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: symind" in capsys.readouterr().out
+
+    def test_consecutive_commands_share_no_state(self, capsys):
+        # the parser is built once per process; each command line still parses
+        # into a fresh namespace, so options of one command never reach the
+        # next and the provenance hash of a report is the same either way
+        from symind.cli import build_parser
+
+        assert build_parser() is build_parser()
+        morse = ["morse", "--problem", "harmonic", "--omega", "5", "--interval", "0", "1"]
+        code, alone, _ = run_cli(morse, capsys)
+        assert code == EXIT_OK
+        code, _, _ = run_cli(["spectral-flow", "--problem", "free", "--bc", "neumann",
+                              "--ramp", "-30", "--N", "128"], capsys)
+        assert code == EXIT_OK
+        code, after, _ = run_cli(morse, capsys)
+        assert code == EXIT_OK
+        assert after == alone
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
         for path in (r1, r2):

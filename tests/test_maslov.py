@@ -10,10 +10,13 @@ Hand-derived oracles used below (standard Omega on R^2, ordering (p, q)):
   all intersections trivial -> 0; with gamma = span{(1,-1)}: Q = +1 -> 1.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symind.core import (
@@ -32,8 +35,10 @@ from symind.core import (
 )
 from symind.errors import NotACrossing, SymindError
 import symind.maslov as maslov
+from symind.cli import main
 from symind.maslov import (
     CONTINUITY_BUDGET,
+    LOCATE_REL_TOL,
     LagrangianPath,
     _refined_grid,
     chart_coindex,
@@ -380,6 +385,79 @@ class TestConnectingPath:
             U = U0 @ sla.expm(t * L)
             assert np.max(np.abs(F - np.vstack([U.real, -U.imag]))) < 1e-13
         assert gap_distance(path(0.0), start) < 1e-13 and gap_distance(path(1.0), end) < 1e-12
+
+
+def counting_waves(monkeypatch):
+    """Patch the module so the returned list holds, per ``_locate`` call, the
+    number of its ``_tracked_phases`` waves."""
+    waves, locate, tracked = [], maslov._locate, maslov._tracked_phases
+
+    def counted_locate(*args):
+        waves.append(0)
+        return locate(*args)
+
+    def counted_tracked(*args):
+        waves[-1] += 1
+        return tracked(*args)
+
+    monkeypatch.setattr(maslov, "_locate", counted_locate)
+    monkeypatch.setattr(maslov, "_tracked_phases", counted_tracked)
+    return waves
+
+
+def spectral_flow_report(R, capsys):
+    """Report of ``spectral-flow --problem free --ramp -R --N 512``."""
+    assert main(["spectral-flow", "--problem", "free", "--ramp", repr(-R), "--N", "512"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestCrossingInstants:
+    @settings(max_examples=40, deadline=None)
+    @given(theta0=st.floats(0.05, np.pi - 0.05), turns=st.floats(0.2, 4.0),
+           power=st.sampled_from([1.0, 2.0, 3.0]))
+    def test_monotone_polynomial_angle(self, theta0, turns, power):
+        # the angle theta0 + kappa t^p meets the p-axis where it is k pi, at
+        # t_k = ((k pi - theta0) / kappa)^(1/p)
+        kappa = turns * np.pi
+        end = (theta0 + kappa) / np.pi
+        assume(abs(end - round(end)) > 1e-3)
+        base = line_frame(S1, [1.0, 0.0])
+        path = LagrangianPath.rotation(base, lambda t: theta0 + kappa * t ** power, 0.0, 1.0)
+        mu, recs = maslov_clm(path, LagrangianPath.constant(base, 0.0, 1.0))
+        k = np.arange(1, math.floor(end) + 1)
+        assert mu == k.size
+        assert np.allclose([r.t for r in recs], ((k * np.pi - theta0) / kappa) ** (1.0 / power),
+                           rtol=0.0, atol=LOCATE_REL_TOL)
+
+    def test_flat_phase_converges(self, monkeypatch):
+        # the phase is cubic in t - t0, so inverse quadratic interpolation
+        # fails its validity test near the root and bisection takes over
+        t0 = 1.0 / np.pi
+        base = line_frame(S1, [1.0, 0.0])
+        path = LagrangianPath.rotation(base, lambda t: 2.0 * (t - t0) ** 3, 0.0, 1.0)
+        waves = counting_waves(monkeypatch)
+        mu, recs = maslov_clm(path, LagrangianPath.constant(base, 0.0, 1.0))
+        assert mu == 1
+        assert len(recs) == 1 and abs(recs[0].t - t0) <= LOCATE_REL_TOL
+        assert waves[0] < 64
+
+    @pytest.mark.parametrize("R", [100.0, 300.0])
+    def test_ramp_instants_closed_form(self, capsys, R):
+        # -u'' - R s u, Dirichlet on (0, 1): the k-th eigenvalue (k pi)^2 - R s
+        # crosses zero at s_k = (k pi)^2 / R
+        rep = spectral_flow_report(R, capsys)
+        k = np.arange(1, math.floor(math.sqrt(R) / math.pi) + 1)
+        assert rep["diagnostics"]["maslov"] == k.size
+        assert [c["inertia"] for c in rep["crossings"]] == [[1, 0, 0]] * k.size
+        assert np.allclose([c["s"] for c in rep["crossings"]], (k * np.pi) ** 2 / R,
+                           rtol=1e-12, atol=0.0)
+
+    def test_ramp_instant_takes_few_waves(self, capsys, monkeypatch):
+        # one crossing at s = pi^2 / 25.3: the false-position point, about two
+        # interpolation steps and one step past the root close the bracket
+        waves = counting_waves(monkeypatch)
+        assert spectral_flow_report(25.3, capsys)["verdict"] == -1
+        assert len(waves) == 1 and waves[0] <= 6
 
 
 class TestRefinedGrid:

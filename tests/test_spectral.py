@@ -523,6 +523,25 @@ class TestMorseJump:
         assert out["maslov"] == 1
         assert out["residual"] == 0
 
+    def test_problem_without_c_integrates_one_member(self, monkeypatch):
+        # every s has the same monodromy when the problem has no c(s, .), so
+        # each batch of the graph path integrates a single member
+        import symind.spectral as spectral
+
+        prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
+        LD = dirichlet_frame(S1)
+
+        def bc_path(s):
+            return direct_sum_frame(rotation_matrix(S1, -s * np.pi / 2) @ LD.frame, LD.frame)
+
+        sizes = []
+        batched = spectral.monodromies
+        monkeypatch.setattr(spectral, "monodromies", lambda problem, span, s: (
+            sizes.append(len(s)) or batched(problem, span, s)))
+        out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path, N=256)
+        assert out["maslov"] == 1 and out["residual"] == 0
+        assert sizes and set(sizes) == {1}
+
     def test_wrong_count_shows_in_the_residual(self, monkeypatch):
         # the Maslov index comes from the ODE, not from eigenvalue counts, so
         # a counting error at L_1 leaves a residual of one (a spectral flow
