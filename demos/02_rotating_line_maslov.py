@@ -16,9 +16,10 @@ ref = line_frame(space, [1.0, 0.0])
 
 
 def ccw(a, b):
-    return LagrangianPath(space,
-                          lambda t: LagrangianFrame(space, np.array([[np.cos(t)], [np.sin(t)]])),
-                          a, b)
+    # one frame per instant; LagrangianPath(space, frames, a, b) takes a
+    # sampler that maps an array of instants to a stack of frames instead
+    return LagrangianPath.pointwise(
+        space, lambda t: LagrangianFrame(space, np.array([[np.cos(t)], [np.sin(t)]])), a, b)
 
 
 print("crossing form of the counterclockwise line at t=0:",

@@ -43,12 +43,10 @@ from .core import (
     InertiaTriple,
     LagrangianFrame,
     SymplecticSpace,
-    gap_distance,
     inertia_of,
     intersection_basis,
     principal_sines,
     random_lagrangian,
-    rotation_matrix,
     stacked_principal_sines,
 )
 from .errors import (
@@ -83,17 +81,17 @@ class CrossingRecord:
 
 
 class LagrangianPath:
-    """A sampled path t -> LagrangianFrame on [a, b].
+    """A sampled path of Lagrangian subspaces on [a, b].
 
-    The sampler must be re-entrant; evaluations are cached per parameter so
-    that ODE-backed samplers are not re-integrated during crossing scans.
-    ``many``, when given, samples an array of parameters in one batch and
-    returns their frame matrices stacked as (k, dim, half_dim); ``frames``
-    uses it for every parameter not yet cached.
+    ``frames(ts)`` maps a 1-d array of parameters to their frame matrices,
+    stacked as (len(ts), dim, half_dim), in one call.  Nothing is cached: the
+    crossing scan samples each parameter once and carries the frames it
+    needs.  ``pointwise`` adapts a sampler that returns one LagrangianFrame
+    per instant.
     """
 
-    def __init__(self, space: SymplecticSpace, fun, a: float, b: float,
-                 samples: int = 256, grid=None, many=None):
+    def __init__(self, space: SymplecticSpace, frames, a: float, b: float,
+                 samples: int = 256, grid=None):
         if not b > a:
             raise ValueError("need b > a")
         self.space = space
@@ -101,9 +99,7 @@ class LagrangianPath:
         self.b = float(b)
         self.samples = int(samples)
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
-        self._fun = fun
-        self._many = many
-        self._cache: dict[float, LagrangianFrame] = {}
+        self._frames = frames
 
     def initial_grid(self, a: float, b: float) -> np.ndarray:
         """Initial sample parameters in [a, b]; samplers with non-uniform
@@ -115,48 +111,51 @@ class LagrangianPath:
         return np.linspace(a, b, max(self.samples, 16))
 
     def __call__(self, t: float) -> LagrangianFrame:
-        t = float(t)
-        hit = self._cache.get(t)
-        if hit is None:
-            hit = self._fun(t)
-            if hit.space != self.space:
-                raise SpaceMismatch("sampler returned a frame in the wrong space")
-            self._cache[t] = hit
-        return hit
+        return LagrangianFrame(self.space, self.frames([t])[0])
 
     def frames(self, ts) -> np.ndarray:
-        """Frame matrices at every t in ts, stacked as (len(ts), dim, half_dim).
-
-        Cached parameters are reused; the others go to the batched sampler in
-        one call when the path has one, and through ``__call__`` otherwise.
-        """
-        ts = [float(t) for t in ts]
-        missing = [t for t in dict.fromkeys(ts) if t not in self._cache]
-        if self._many is None:
-            for t in missing:
-                self(t)
-        elif missing:
-            for t, F in zip(missing, self._many(np.array(missing))):
-                self._cache[t] = LagrangianFrame(self.space, F)
-        return np.array([self._cache[t].frame for t in ts])
+        """Frame matrices at every t in ts, stacked as (len(ts), dim, half_dim);
+        a sampler that returns another shape raises SpaceMismatch."""
+        ts = np.asarray(ts, dtype=float)
+        F = self._frames(ts)
+        shape = (len(ts), self.space.dim, self.space.half_dim)
+        if np.shape(F) != shape:
+            raise SpaceMismatch(f"sampler returned frames of shape {np.shape(F)}, expected {shape}")
+        return F
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
+    def pointwise(cls, space: SymplecticSpace, fun, a: float, b: float,
+                  samples: int = 256) -> "LagrangianPath":
+        """A path from a sampler t -> LagrangianFrame, called once per instant."""
+        def frames(ts):
+            out = [fun(float(t)) for t in ts]
+            if not all(isinstance(f, LagrangianFrame) and f.space == space for f in out):
+                raise SpaceMismatch("sampler returned no frame in the path's space")
+            return np.array([f.frame for f in out]).reshape(len(ts), space.dim, space.half_dim)
+
+        return cls(space, frames, a, b, samples=samples)
+
+    @classmethod
     def constant(cls, frame: LagrangianFrame, a: float, b: float) -> "LagrangianPath":
-        return cls(frame.space, lambda t: frame, a, b, samples=2)
+        F = frame.frame
+        return cls(frame.space, lambda ts: np.broadcast_to(F, (len(ts),) + F.shape), a, b,
+                   samples=16)
 
     @classmethod
     def rotation(cls, base: LagrangianFrame, angle_fun, a: float, b: float) -> "LagrangianPath":
-        """Frame exp(angle(t) J) . base; counterclockwise for increasing angle
-        means the (p, q)-plane rotation taking the p-axis toward the q-axis
-        is angle -pi/2, i.e. exp(theta J)(1,0) = (cos theta, -sin theta)."""
-        space = base.space
+        """Frame exp(angle(t) J) . base = cos(angle) base + sin(angle) J base,
+        ``angle_fun`` taking an array of parameters; counterclockwise for
+        increasing angle means the (p, q)-plane rotation taking the p-axis
+        toward the q-axis is angle -pi/2, i.e. exp(theta J)(1,0) = (cos theta, -sin theta)."""
+        F, JF = base.frame, base.space.form @ base.frame
 
-        def fun(t):
-            return LagrangianFrame(space, rotation_matrix(space, angle_fun(t)) @ base.frame)
+        def frames(ts):
+            angle = np.asarray(angle_fun(ts))[..., None, None]
+            return np.cos(angle) * F + np.sin(angle) * JF
 
-        return cls(space, fun, a, b)
+        return cls(base.space, frames, a, b)
 
     @classmethod
     def connecting(cls, start: LagrangianFrame, end: LagrangianFrame) -> "LagrangianPath":
@@ -180,14 +179,11 @@ class LagrangianPath:
         theta, V = np.linalg.eigh(-0.5j * (L - L.conj().T))
         U0V, Vh = U0 @ V, V.conj().T
 
-        def many(ts):
+        def frames(ts):
             U = (U0V * np.exp(1j * np.multiply.outer(ts, theta))[:, None, :]) @ Vh
             return np.concatenate([U.real, -U.imag], axis=1)
 
-        def fun(t):
-            return LagrangianFrame(space, many(np.array([float(t)]))[0])
-
-        return cls(space, fun, 0.0, 1.0, many=many)
+        return cls(space, frames, 0.0, 1.0)
 
 
 # -- crossing forms ----------------------------------------------------------
@@ -256,10 +252,9 @@ def _q_matrix(path: LagrangianPath, t0: float, vectors: np.ndarray, h: float,
 def _is_constant(path: LagrangianPath) -> bool:
     # probe at incommensurate fractions: a path rotating by multiples of pi
     # aliases any single probe, but not all of these simultaneously
-    base = path(path.a)
-    span = path.b - path.a
-    return all(gap_distance(base, path(path.a + c * span)) < 1e-14
-               for c in (1.0, 0.6180339887498949, 0.12345678901234568))
+    F = path.frames(path.a + (path.b - path.a) * np.array(
+        [0.0, 1.0, 0.6180339887498949, 0.12345678901234568]))
+    return bool(np.all(stacked_principal_sines(path.space, F[:1], F[1:])[:, -1] < 1e-14))
 
 
 def relative_crossing_matrix(path1: LagrangianPath, path2: LagrangianPath,
@@ -292,44 +287,49 @@ def crossing_form(path: LagrangianPath, reference: LagrangianFrame, t0: float,
 
 
 def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
-    """Sample parameters so consecutive frames of both paths move < budget.
+    """Sample parameters ts so consecutive frames of both paths move < budget,
+    and the frames F of both paths there, (2, len(ts), dim, half_dim).
 
     An interval passes only when its endpoints AND its midpoint are all
     within budget of each other: the endpoint gap alone aliases when a line
     rotates by a multiple of pi across one step.  Refinement runs in waves:
-    the midpoints of every open interval are sampled in one batch per path
-    and all their gaps come from one stacked SVD, then each interval is
-    accepted or split in two for the next wave.
+    the midpoints of every open interval (with the initial grid, in the
+    first wave) are sampled in one batch per path and all their gaps come
+    from one stacked SVD, then each interval is accepted or split in two for
+    the next wave.  Intervals index the samples taken so far, so every
+    parameter is sampled once and every sample is a grid point.
     """
-    grids = [p.initial_grid(a, b) for p in (path1, path2)]
-    ts = np.unique(np.concatenate(grids))
-    out = [ts[-1:]]
+    ts = np.unique(np.concatenate([p.initial_grid(a, b) for p in (path1, path2)]))
+    F = np.zeros((2, 0, path1.space.dim, path1.space.half_dim))
     # on a positive span the floor is also relative to the parameter, so a
     # path rotating in log-time near a small endpoint can still be resolved
     finest = 2.0 ** (-MAX_REFINE_DEPTH)
     min_step = (b - a) * finest
-    lo, hi = ts[:-1], ts[1:]
+    lo, hi = np.arange(ts.size - 1), np.arange(1, ts.size)
     guard = 0
     while lo.size:
         guard += lo.size
         if guard > 400000:
             raise ContinuityBudgetExceeded("refinement exploded; path too wild")
-        mid = 0.5 * (lo + hi)
-        # F[path, (lo, mid, hi)]: the gaps lo-mid and mid-hi of both paths
-        F = np.array([np.split(p.frames(np.concatenate([lo, mid, hi])), 3) for p in (path1, path2)])
+        mid = np.arange(ts.size, ts.size + lo.size)
+        ts = np.concatenate([ts, 0.5 * (ts[lo] + ts[hi])])
+        new = ts[F.shape[1]:]
+        F = np.concatenate([F, [path1.frames(new), path2.frames(new)]], axis=1)
+        # the gaps lo-mid and mid-hi of both paths
         shape = (-1,) + F.shape[-2:]
-        gaps = stacked_principal_sines(path1.space, F[:, :2].reshape(shape), F[:, 1:].reshape(shape))
+        gaps = stacked_principal_sines(path1.space, F[:, np.concatenate([lo, mid])].reshape(shape),
+                                       F[:, np.concatenate([mid, hi])].reshape(shape))
         move = gaps[:, -1].reshape(4, -1).max(axis=0)
         ok = move <= budget
-        out += [lo[ok], mid[ok]]
-        floor = np.minimum(min_step, lo * finest) if a > 0 else min_step
-        stuck = np.flatnonzero(~ok & (hi - lo <= floor))
+        floor = np.minimum(min_step, ts[lo] * finest) if a > 0 else min_step
+        stuck = np.flatnonzero(~ok & (ts[hi] - ts[lo] <= floor))
         if stuck.size:
             i = stuck[0]
             raise ContinuityBudgetExceeded(
-                f"movement {move[i]:.3f} over step {hi[i] - lo[i]:.3e}")
+                f"movement {move[i]:.3f} over step {ts[hi[i]] - ts[lo[i]]:.3e}")
         lo, hi = np.concatenate([lo[~ok], mid[~ok]]), np.concatenate([mid[~ok], hi[~ok]])
-    return np.sort(np.concatenate(out))
+    order = np.argsort(ts)
+    return ts[order], F[:, order]
 
 
 def _souriau(space: SymplecticSpace, frames: np.ndarray) -> np.ndarray:
@@ -353,10 +353,10 @@ def _souriau(space: SymplecticSpace, frames: np.ndarray) -> np.ndarray:
     return U @ np.swapaxes(U, 1, 2)
 
 
-def _eig_w(path1, path2, ts):
-    """Eigenvalues (k, n) and eigenvectors (k, n, n) of W at every t in ts."""
-    space = path1.space
-    W = _souriau(space, path2.frames(ts)) @ _souriau(space, path1.frames(ts)).conj()
+def _eig_w(space, F):
+    """Eigenvalues (k, n) and eigenvectors (k, n, n) of W from the frames
+    F of both paths, (2, k, dim, half_dim)."""
+    W = _souriau(space, F[1]) @ _souriau(space, F[0]).conj()
     return np.linalg.eig(W)
 
 
@@ -382,7 +382,7 @@ def _pair_branches(lam, vecs):
 def _tracked_phases(path1, path2, ts, refs):
     """At each ts[i], the phase and eigenvector of W whose eigenvector
     overlaps refs[i] most."""
-    lam, vecs = _eig_w(path1, path2, ts)
+    lam, vecs = _eig_w(path1.space, np.array([path1.frames(ts), path2.frames(ts)]))
     j = np.argmax(np.abs(np.einsum("kn,knm->km", refs.conj(), vecs)), axis=1)
     k = np.arange(len(ts))
     return np.angle(lam[k, j]), vecs[k, :, j]
@@ -468,8 +468,8 @@ def _endpoint_inertia(phase, step) -> InertiaTriple:
 
 def _crossings(path1, path2, a, b, counterclockwise):
     """The index and the crossing records of the pair on [a, b]."""
-    ts = _refined_grid(path1, path2, a, b)
-    lam, vecs = _pair_branches(*_eig_w(path1, path2, ts))
+    ts, F = _refined_grid(path1, path2, a, b)
+    lam, vecs = _pair_branches(*_eig_w(path1.space, F))
     phase = np.angle(lam)
     step = np.angle(lam[1:] * lam[:-1].conj())
     passes = np.floor((phase[:-1] + step) / _TWO_PI) - np.floor(phase[:-1] / _TWO_PI)

@@ -389,30 +389,26 @@ def discretized_family(problem: SLProblem, bc, N: int, span: tuple | None = None
 # -- the spectral flow formula -------------------------------------------------
 
 
-def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = None,
-                         samples: int = 64) -> LagrangianPath:
+def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = None) -> LagrangianPath:
     """s -> Graph(M_s) in the product boundary space, M_s the fundamental
-    solution of the s-frozen problem across the span.
+    solution of the s-frozen problem across the span, 64 initial samples.
 
-    The path's ``many`` sampler takes every s a refinement wave of the
-    crossing scan asks for in one batch: one stacked Magnus run for their
-    monodromies (``sturm.monodromies``) and one stacked call for their graph
-    frames, with ``graph_lagrangian``'s symplectic-residual check per member.
-    A problem without ``c`` has one monodromy for every s, so a batch then
-    integrates one member and repeats its frame.
+    The sampler takes every s a refinement wave of the crossing scan asks for
+    in one batch: one stacked Magnus run for their monodromies
+    (``sturm.monodromies``) and one stacked call for their graph frames, with
+    ``graph_lagrangian``'s symplectic-residual check per member.  A problem
+    without ``c`` has one monodromy for every s, so a batch then integrates
+    one member and repeats its frame.
     """
     c, d = problem.interval if span is None else span
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
 
-    def many(ss):
+    def frames(ss):
         members = ss if problem.c is not None else ss[:1]
         F = stacked_graph_frames(problem.space, monodromies(problem, (c, d), members), tol=1e-6)
         return np.broadcast_to(F, (len(ss),) + F.shape[1:])
 
-    def fun(s):
-        return LagrangianFrame(prod, many(np.array([float(s)]))[0])
-
-    return LagrangianPath(prod, fun, *s_interval, samples=samples, many=many)
+    return LagrangianPath(prod, frames, *s_interval, samples=64)
 
 
 def _boundary_path(problem: SLProblem, bc, s_interval) -> LagrangianPath:
@@ -420,14 +416,11 @@ def _boundary_path(problem: SLProblem, bc, s_interval) -> LagrangianPath:
     that is not a callable is resolved once and gives a constant path."""
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
     if callable(bc) and not isinstance(bc, LagrangianFrame):
-        def fun(s):
-            return _resolve_discrete_bc(problem, bc(s))
-    else:
-        frame = _resolve_discrete_bc(problem, bc)
-
-        def fun(s):
-            return frame
-    return LagrangianPath(prod, fun, *s_interval, samples=64)
+        return LagrangianPath.pointwise(prod, lambda s: _resolve_discrete_bc(problem, bc(s)),
+                                        *s_interval, samples=64)
+    F = _resolve_discrete_bc(problem, bc).frame
+    return LagrangianPath(prod, lambda ss: np.broadcast_to(F, (len(ss),) + F.shape),
+                          *s_interval, samples=64)
 
 
 def verify_sf_formula(problem: SLProblem, bc, s_interval, N: int = 512,
@@ -489,7 +482,7 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
             raise TransversalityViolated(f"boundary line at u={u} meets the Friedrichs line")
 
     u_max = max(u_values)
-    path = LagrangianPath(left_space, left_frame, 0.0, u_max, samples=64)
+    path = LagrangianPath.pointwise(left_space, left_frame, 0.0, u_max, samples=64)
     fr_path = LagrangianPath.constant(fr, 0.0, u_max)
     mu, _ = maslov_clm(fr_path, path, (0.0, u_max))
 

@@ -393,7 +393,7 @@ class FundamentalSolution:
         return max((r for _, r in self.drift_log), default=0.0)
 
     def flow_path(self, frame: LagrangianFrame, lo: float | None = None,
-                  hi: float | None = None, samples: int = 256) -> LagrangianPath:
+                  hi: float | None = None) -> LagrangianPath:
         """The Lagrangian path t -> gamma(t) . frame over [lo, hi].
 
         When the span hugs the coordinate singularity at 0 the initial sample
@@ -407,15 +407,12 @@ class FundamentalSolution:
         grid = None
         if lo > 0 and hi / max(lo, 1e-300) > 50.0:
             decades = math.log10(hi / lo)
-            grid = np.geomspace(lo, hi, max(samples, int(48 * decades)))
+            grid = np.geomspace(lo, hi, max(256, int(48 * decades)))
 
-        def fun(t):
-            return lagrangian_from_columns(space, self.matrix(t) @ frame.frame)
-
-        def many(ts):
+        def frames(ts):
             return stacked_lagrangian_frames(space, self.matrices(ts) @ frame.frame)
 
-        return LagrangianPath(space, fun, lo, hi, samples=samples, grid=grid, many=many)
+        return LagrangianPath(space, frames, lo, hi, grid=grid)
 
 
 def fundamental_solution(problem: SLProblem, t0: float, span: tuple,

@@ -265,7 +265,7 @@ class TestCriterion9PropertySuites:
             assert total == left + right
             M = random_symplectic(space, rng, scale=0.5)
             from symind.core import apply_symplectic
-            moved = LagrangianPath(space, lambda t: apply_symplectic(M, path(t)), 0.0, 1.0)
+            moved = LagrangianPath.pointwise(space, lambda t: apply_symplectic(M, path(t)), 0.0, 1.0)
             mu_m, _ = maslov_clm(LagrangianPath.constant(apply_symplectic(M, ref), 0, 1),
                                  moved)
             assert mu_m == total

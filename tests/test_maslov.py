@@ -32,8 +32,9 @@ from symind.core import (
     neumann_frame,
     random_lagrangian,
     random_symplectic,
+    stacked_principal_sines,
 )
-from symind.errors import NotACrossing, SymindError
+from symind.errors import NotACrossing, SpaceMismatch, SymindError
 import symind.maslov as maslov
 from symind.cli import main
 from symind.maslov import (
@@ -57,13 +58,13 @@ def ccw_line_path(a, b):
     """span{(cos t, sin t)}: counterclockwise rotation of the p-axis."""
     def fun(t):
         return LagrangianFrame(S1, np.array([[np.cos(t)], [np.sin(t)]]))
-    return LagrangianPath(S1, fun, a, b)
+    return LagrangianPath.pointwise(S1, fun, a, b)
 
 
 def cw_line_path(a, b):
     def fun(t):
         return LagrangianFrame(S1, np.array([[np.cos(t)], [-np.sin(t)]]))
-    return LagrangianPath(S1, fun, a, b)
+    return LagrangianPath.pointwise(S1, fun, a, b)
 
 
 class TestCrossingForm:
@@ -180,7 +181,7 @@ class TestMaslovClm:
             angle = 0.02 + (np.pi - 0.04) * (0.5 + np.arctan((t - 0.3001) / 1e-11) / np.pi)
             return LagrangianFrame(S1, np.array([[np.cos(angle)], [np.sin(angle)]]))
         ref = LagrangianPath.constant(line_frame(S1, [1.0, 0.0]), 0.0, 1.0)
-        path = LagrangianPath(S1, fun, 0.0, 1.0)
+        path = LagrangianPath.pointwise(S1, fun, 0.0, 1.0)
         assert maslov_clm(ref, path)[0] == -1
         assert maslov_clm(ref, path, _counterclockwise=True) == (0, [])
 
@@ -240,7 +241,7 @@ class TestMaslovClm:
             ref = random_lagrangian(S2, rng)
             path = LagrangianPath.connecting(L0, L1)
             M = random_symplectic(S2, rng, scale=0.6)
-            moved = LagrangianPath(S2, lambda t: apply_symplectic(M, path(t)), 0.0, 1.0)
+            moved = LagrangianPath.pointwise(S2, lambda t: apply_symplectic(M, path(t)), 0.0, 1.0)
             ref_moved = apply_symplectic(M, ref)
             mu, _ = maslov_clm(LagrangianPath.constant(ref, 0, 1), path)
             mu_m, _ = maslov_clm(LagrangianPath.constant(ref_moved, 0, 1), moved)
@@ -387,6 +388,32 @@ class TestConnectingPath:
         assert gap_distance(path(0.0), start) < 1e-13 and gap_distance(path(1.0), end) < 1e-12
 
 
+class TestPathSamplers:
+    @pytest.mark.parametrize("n,seed", [(1, 53), (2, 54), (3, 55)])
+    def test_rotation_samples_equal_the_matrix_route(self, n, seed):
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        base = random_lagrangian(space, rng)
+
+        def angle(t):
+            return 7.0 * t ** 2 - 1.0
+
+        path = LagrangianPath.rotation(base, angle, 0.0, 1.0)
+        ts = rng.permutation(np.linspace(0.0, 1.0, 41))
+        for t, F in zip(ts, path.frames(ts)):
+            assert np.max(np.abs(F - rotation_matrix(space, angle(t)) @ base.frame)) <= 1e-15
+
+    @pytest.mark.parametrize("path", [
+        LagrangianPath(S1, lambda ts: np.array([[1.0], [0.0]]), 0.0, 1.0),
+        LagrangianPath(S1, lambda ts: np.zeros((len(ts), 2, 2)), 0.0, 1.0),
+        LagrangianPath.pointwise(S1, lambda t: np.array([[1.0], [0.0]]), 0.0, 1.0),
+    ], ids=["one_frame", "wrong_half_dim", "pointwise_array"])
+    def test_bad_sampler_is_space_mismatch(self, path):
+        ref = LagrangianPath.constant(line_frame(S1, [1.0, 0.0]), 0.0, 1.0)
+        with pytest.raises(SpaceMismatch):
+            maslov_clm(ref, path)
+
+
 def counting_waves(monkeypatch):
     """Patch the module so the returned list holds, per ``_locate`` call, the
     number of its ``_tracked_phases`` waves."""
@@ -460,6 +487,11 @@ class TestCrossingInstants:
         assert len(waves) == 1 and waves[0] <= 6
 
 
+def largest_step_gap(space, frames):
+    """The largest gap between consecutive frames of a stack."""
+    return float(stacked_principal_sines(space, frames[:-1], frames[1:])[:, -1].max())
+
+
 class TestRefinedGrid:
     @pytest.mark.parametrize("n,seed", [(1, 30), (2, 31), (3, 32)])
     def test_consecutive_samples_within_budget(self, n, seed):
@@ -467,11 +499,35 @@ class TestRefinedGrid:
         rng = np.random.default_rng(seed)
         L0, L1, L2, L3 = (random_lagrangian(space, rng) for _ in range(4))
         paths = (LagrangianPath.connecting(L0, L1), LagrangianPath.connecting(L2, L3))
-        ts = _refined_grid(*paths, 0.0, 1.0)
+        ts, F = _refined_grid(*paths, 0.0, 1.0)
         assert ts[0] == 0.0 and ts[-1] == 1.0 and np.all(np.diff(ts) > 0)
-        for path in paths:
+        for path, frames in zip(paths, F):
+            assert np.array_equal(frames, path.frames(ts))
+            assert largest_step_gap(space, frames) <= CONTINUITY_BUDGET
             assert max(gap_distance(path(s), path(t))
                        for s, t in zip(ts[:-1], ts[1:])) <= CONTINUITY_BUDGET
+
+    def test_each_parameter_is_sampled_once(self):
+        # the waves carry the frames at the interval ends, so each path's
+        # sampler sees every returned parameter exactly once
+        rng = np.random.default_rng(33)
+        space = SymplecticSpace.standard(2)
+        seen = ([], [])
+
+        def counted(calls):
+            path = LagrangianPath.connecting(*(random_lagrangian(space, rng) for _ in range(2)))
+
+            def frames(ts):
+                calls.append(ts)
+                # back and forth along the path 50 times: several waves deep
+                return path.frames(0.5 - 0.5 * np.cos(100.0 * np.pi * ts))
+
+            return LagrangianPath(space, frames, 0.0, 1.0)
+
+        ts, _ = _refined_grid(*map(counted, seen), 0.0, 1.0)
+        for calls in seen:
+            assert len(calls) >= 3
+            assert np.array_equal(np.sort(np.concatenate(calls)), ts)
 
     def test_fast_flow_is_refined_within_budget(self):
         from symind.catalog import make_problem
@@ -482,8 +538,9 @@ class TestRefinedGrid:
         fs = fundamental_solution(make_problem("harmonic", omega=60.0), 0.0, (0.0, 1.0))
         flow = fs.flow_path(dirichlet_frame(S1))
         const = LagrangianPath.constant(neumann_frame(S1), 0.0, 1.0)
-        ts = _refined_grid(flow, const, 0.0, 1.0)
+        ts, F = _refined_grid(flow, const, 0.0, 1.0)
         assert len(ts) > 256
+        assert largest_step_gap(S1, F[0]) <= CONTINUITY_BUDGET
         assert max(gap_distance(flow(s), flow(t))
                    for s, t in zip(ts[:-1], ts[1:])) <= CONTINUITY_BUDGET
 
