@@ -17,6 +17,7 @@ import scipy.linalg as sla
 from .errors import NotIsotropic, NotSymplectic, RankDeficient, SpaceMismatch
 
 DEFAULT_TOL = 1e-9
+INTERSECTION_TOL = 1e-9           # principal sines at or below it span an intersection
 
 
 def standard_form_matrix(n: int) -> np.ndarray:
@@ -176,11 +177,9 @@ def stacked_lagrangian_frames(space: SymplecticSpace, columns, tol: float | None
     return q[:, :, :space.half_dim]
 
 
-def intersection_dim(A: LagrangianFrame, B: LagrangianFrame, tol: float = 1e-8) -> int:
-    """dim(span A  intersect  span B), counted as singular values of A^T B equal to 1."""
-    _check_same_space(A, B)
-    s = np.linalg.svd(A.frame.T @ B.frame, compute_uv=False)
-    return int(np.sum(s >= 1.0 - tol))
+def intersection_dim(A: LagrangianFrame, B: LagrangianFrame) -> int:
+    """dim(span A  intersect  span B): the principal sines at or below INTERSECTION_TOL."""
+    return int(np.sum(principal_sines(A, B) <= INTERSECTION_TOL))
 
 
 def principal_sines(A: LagrangianFrame, B: LagrangianFrame) -> np.ndarray:
@@ -197,7 +196,7 @@ def principal_sines(A: LagrangianFrame, B: LagrangianFrame) -> np.ndarray:
 def stacked_principal_sines(space: SymplecticSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``principal_sines`` of frame stacks A[k], B[k] (k, dim, half_dim) of one
     space, as a (k, half_dim) array ascending along each row: one SVD call
-    over the stack of A^T J B."""
+    over the stack of A^T J B (A may hold fewer orthonormal columns)."""
     s = np.linalg.svd(np.swapaxes(A, 1, 2) @ space.form @ B, compute_uv=False)
     return np.sort(np.clip(s, 0.0, 1.0), axis=-1)
 
@@ -206,7 +205,8 @@ def gap_distance(A: LagrangianFrame, B: LagrangianFrame) -> float:
     return float(principal_sines(A, B)[-1])
 
 
-def intersection_basis(A: LagrangianFrame, B: LagrangianFrame, tol: float = 1e-8) -> np.ndarray:
+def intersection_basis(A: LagrangianFrame, B: LagrangianFrame,
+                       tol: float = INTERSECTION_TOL) -> np.ndarray:
     """Orthonormal basis (columns) of span A intersect span B.
 
     Vectors are taken from span B along the near-kernel of A^T J B; the basis

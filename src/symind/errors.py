@@ -68,7 +68,8 @@ class BracketLimitDiverges(SymindError):
 
 
 class Inconclusive(SymindError):
-    """Endpoint classification fit is ambiguous within tolerance."""
+    """A verdict is ambiguous within tolerance: an endpoint classification
+    fit, or a triple index whose signature and intersection counts disagree."""
 
 
 class SelectionFailed(SymindError):

@@ -40,11 +40,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .core import (
+    INTERSECTION_TOL,
     InertiaTriple,
     LagrangianFrame,
     SymplecticSpace,
     inertia_of,
     intersection_basis,
+    intersection_dim,
     principal_sines,
     random_lagrangian,
     stacked_principal_sines,
@@ -52,6 +54,7 @@ from .core import (
 from .errors import (
     ChartBreakdown,
     ContinuityBudgetExceeded,
+    Inconclusive,
     NotACrossing,
     SpaceMismatch,
     SymindError,
@@ -163,9 +166,10 @@ class LagrangianPath:
 
         Uses the unitary parametrization U = X - iY of an orthonormal
         Lagrangian frame [X; Y] and interpolates along exp(t log(U0* U1)).
-        The skew-Hermitian logarithm is diagonalized once, L = V diag(i theta) V*,
-        so U(t) = U0 V diag(exp(i t theta)) V* samples any number of
-        parameters in one batch.
+        U0* U1 is unitary, hence normal, so its complex Schur form
+        Z T Z* has T diagonal to roundoff and theta = angle(diag T) are the
+        eigenphases; U(t) = U0 Z diag(exp(i t theta)) Z* samples any number
+        of parameters in one batch.
         """
         space = start.space
         if space.kind != "standard":
@@ -175,12 +179,12 @@ class LagrangianPath:
         n = space.half_dim
         U0 = start.frame[:n] - 1j * start.frame[n:]
         U1 = end.frame[:n] - 1j * end.frame[n:]
-        L = sla.logm(U0.conj().T @ U1)
-        theta, V = np.linalg.eigh(-0.5j * (L - L.conj().T))
-        U0V, Vh = U0 @ V, V.conj().T
+        T, Z = sla.schur(U0.conj().T @ U1, output="complex")
+        theta = np.angle(np.diag(T))
+        U0Z, Zh = U0 @ Z, Z.conj().T
 
         def frames(ts):
-            U = (U0V * np.exp(1j * np.multiply.outer(ts, theta))[:, None, :]) @ Vh
+            U = (U0Z * np.exp(1j * np.multiply.outer(ts, theta))[:, None, :]) @ Zh
             return np.concatenate([U.real, -U.imag], axis=1)
 
         return cls(space, frames, 0.0, 1.0)
@@ -521,60 +525,53 @@ def maslov_clm(path1: LagrangianPath, path2: LagrangianPath,
 # -- triple and Hormander indices --------------------------------------------
 
 
-def _span_intersection(U: np.ndarray, V: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Orthonormal basis of span(U) cap span(V) for orthonormal-column inputs."""
-    if U.shape[1] == 0 or V.shape[1] == 0:
-        return np.zeros((U.shape[0], 0))
-    ns = sla.null_space(np.hstack([U, -V]), rcond=tol)
-    if ns.shape[1] == 0:
-        return np.zeros((U.shape[0], 0))
-    vecs = U @ ns[: U.shape[1]]
-    q, r = np.linalg.qr(vecs)
-    rank = int(np.sum(np.abs(np.diag(r)) > tol))
-    return q[:, :rank]
+def triple_index(alpha: LagrangianFrame, beta: LagrangianFrame,
+                 gamma: LagrangianFrame) -> int:
+    """Triple index iota(alpha, beta, gamma): the coindex of the chart form
+    Q(alpha, beta; gamma) on alpha cap (beta + gamma) plus dim(alpha cap gamma)
+    - dim(alpha cap beta cap gamma), in closed form (Lion & Vergne, The Weil
+    representation, Maslov index and theta series, 1980; Cappell, Lee &
+    Miller, CPAM 47, 1994)
 
+        2 iota = tau + n - dim(alpha cap beta) - dim(beta cap gamma) + dim(alpha cap gamma)
 
-def _orth(cols: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    if cols.shape[1] == 0:
-        return cols
-    q, r = np.linalg.qr(cols)
-    rank = int(np.sum(np.abs(np.diag(r)) > tol * max(1.0, np.max(np.abs(cols)))))
-    return q[:, :rank]
+    by sgn Q = tau, the signature of the Kashiwara form omega(a, b) +
+    omega(b, c) + omega(c, a) on alpha (+) beta (+) gamma, ker Q = alpha cap
+    beta + alpha cap gamma and dim alpha cap (beta + gamma) = n - dim(beta cap
+    gamma) + dim(alpha cap beta cap gamma).  Both read the form matrices
+    M_ab = A^T J B, M_bc, M_ca: a dimension counts the singular values of one,
+    its principal sines, at or below INTERSECTION_TOL, and tau the eigenvalues
+    of their block matrix beyond half of it.  An odd right-hand side means the
+    counts disagree at a sine near the tolerance and raises Inconclusive.
+    """
+    if alpha.space != beta.space or alpha.space != gamma.space:
+        raise SpaceMismatch("triple index needs one common space")
+    space = alpha.space
+    F = np.array([alpha.frame, beta.frame, gamma.frame])
+    sines = stacked_principal_sines(space, F, F[[1, 2, 0]])
+    d_ab, d_bc, d_ca = np.sum(sines <= INTERSECTION_TOL, axis=1).tolist()
+    M_ab, M_bc, M_ca = np.swapaxes(F, 1, 2) @ space.form @ F[[1, 2, 0]]
+    Z = np.zeros_like(M_ab)
+    tau = inertia_of(np.block([[Z, M_ab, M_ca.T], [M_ab.T, Z, M_bc], [M_ca, M_bc.T, Z]]),
+                     floor=0.5 * INTERSECTION_TOL).signature
+    twice = tau + space.half_dim - d_ab - d_bc + d_ca
+    if twice % 2:
+        raise Inconclusive(f"Kashiwara signature {tau} and intersection dimensions "
+                           f"{d_ab}, {d_bc}, {d_ca} disagree at a principal sine near the tolerance")
+    return twice // 2
 
 
 def chart_coindex(alpha: LagrangianFrame, beta: LagrangianFrame,
-                  gamma: LagrangianFrame, floor: float = 1e-9) -> int:
-    """Coindex of the chart form Q(alpha, beta; gamma) on alpha cap (beta + gamma).
-
-    For u in the domain, gamma contains u + Cu with Cu in beta and
-    Q(u) = omega(Cu, u); the decomposition is solved by least squares on the
-    stacked frames and its beta cap gamma ambiguity does not change Q.
-    """
-    if alpha.space != beta.space or alpha.space != gamma.space:
-        raise SpaceMismatch("chart form needs one common space")
-    J = alpha.space.form
-    bg = _orth(np.hstack([beta.frame, gamma.frame]))
-    dom = _span_intersection(alpha.frame, bg)
-    if dom.shape[1] == 0:
-        return 0
-    stacked = np.hstack([beta.frame, gamma.frame])
-    Z, *_ = np.linalg.lstsq(stacked, dom, rcond=None)
-    Cu = -beta.frame @ Z[: beta.frame.shape[1]]
-    B = Cu.T @ J @ dom
-    B = 0.5 * (B + B.T)
-    return inertia_of(B, floor=floor * max(1.0, float(np.max(np.abs(B))))).n_plus
-
-
-def triple_index(alpha: LagrangianFrame, beta: LagrangianFrame,
-                 gamma: LagrangianFrame, floor: float = 1e-9) -> int:
-    """Triple index iota(alpha, beta, gamma) of three Lagrangian subspaces:
-    the chart-form coindex plus dim(alpha cap gamma) - dim(alpha cap beta cap gamma)."""
-    if alpha.space != beta.space or alpha.space != gamma.space:
-        raise SpaceMismatch("triple index needs one common space")
-    d_ag = _span_intersection(alpha.frame, gamma.frame).shape[1]
-    ab = _span_intersection(alpha.frame, beta.frame)
-    d_abg = _span_intersection(ab, gamma.frame).shape[1] if ab.shape[1] else 0
-    return int(chart_coindex(alpha, beta, gamma, floor) + d_ag - d_abg)
+                  gamma: LagrangianFrame) -> int:
+    """Coindex of the chart form Q(alpha, beta; gamma) on alpha cap (beta + gamma),
+    Q(u) = omega(Cu, u) where gamma contains u + Cu with Cu in beta: iota minus
+    dim(alpha cap gamma) plus dim(alpha cap beta cap gamma), the principal
+    sines of the ``intersection_basis`` of alpha cap beta against gamma."""
+    iota = triple_index(alpha, beta, gamma)
+    ab = intersection_basis(alpha, beta)
+    d_abg = int(np.sum(stacked_principal_sines(alpha.space, ab[None], gamma.frame[None])
+                       <= INTERSECTION_TOL))
+    return iota - intersection_dim(alpha, gamma) + d_abg
 
 
 def hormander_index(l1: LagrangianFrame, l2: LagrangianFrame,

@@ -405,7 +405,7 @@ def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = No
 
     def frames(ss):
         members = ss if problem.c is not None else ss[:1]
-        F = stacked_graph_frames(problem.space, monodromies(problem, (c, d), members), tol=1e-6)
+        F = stacked_graph_frames(problem.space, monodromies(problem, (c, d), members))
         return np.broadcast_to(F, (len(ss),) + F.shape[1:])
 
     return LagrangianPath(prod, frames, *s_interval, samples=64)

@@ -69,6 +69,13 @@ class TestIndexCommands:
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == 1
 
+    def test_triple_at_the_intersection_tolerance_is_an_error(self, capsys):
+        # beta at principal sine 1e-9 from alpha: the parity guard fires
+        code, out, err = run_cli(["triple", "--alpha", "1", "0", "--beta", "1", "1e-9",
+                                  "--gamma", "0", "1"], capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert "error [symind.Inconclusive]" in err
+
     def test_hormander_lines(self, capsys):
         code, out, _ = run_cli(["hormander", "--l1", "1", "0", "--l2", "1", "1",
                                 "--m1", "0", "1", "--m2", "1", "-1"], capsys)

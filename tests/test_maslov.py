@@ -20,21 +20,25 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symind.core import (
+    INTERSECTION_TOL,
     InertiaTriple,
     LagrangianFrame,
     SymplecticSpace,
     apply_symplectic,
     dirichlet_frame,
     rotation_matrix,
+    direct_sum_frame,
     gap_distance,
     intersection_basis,
+    intersection_dim,
     line_frame,
     neumann_frame,
+    principal_sines,
     random_lagrangian,
     random_symplectic,
     stacked_principal_sines,
 )
-from symind.errors import NotACrossing, SpaceMismatch, SymindError
+from symind.errors import Inconclusive, NotACrossing, SpaceMismatch, SymindError
 import symind.maslov as maslov
 from symind.cli import main
 from symind.maslov import (
@@ -269,7 +273,6 @@ class TestTripleIndex:
         for _ in range(40):
             a, b, c = (random_lagrangian(space, rng) for _ in range(3))
             lhs = triple_index(a, b, c) - triple_index(b, c, a)
-            from symind.core import intersection_dim
             rhs = intersection_dim(a, c) - intersection_dim(b, a)
             assert lhs == rhs
 
@@ -284,7 +287,6 @@ class TestTripleIndex:
 
     @pytest.mark.parametrize("n,seed", [(2, 6), (3, 7)])
     def test_upper_bound(self, n, seed):
-        from symind.core import intersection_dim
         space = SymplecticSpace.standard(n)
         rng = np.random.default_rng(seed)
         for _ in range(30):
@@ -294,6 +296,112 @@ class TestTripleIndex:
             # the full bound carries + dim(a cap b cap c) which is 0 generically
             assert 0 <= iota <= bound + n  # loose sanity
             assert iota <= n
+
+
+def _meet(U, V):
+    """Orthonormal basis of span U cap span V for orthonormal columns U, V:
+    the directions of U with no component off span V, by SVD."""
+    _, s, vt = np.linalg.svd(U - V @ (V.T @ U))
+    s = np.concatenate([s, np.zeros(U.shape[1] - s.size)])
+    return U @ vt[s <= INTERSECTION_TOL].T
+
+
+def _triple_reference(a, b, c):
+    """Pivot-safe evaluation of the definitions, every rank by SVD: the chart
+    coindex m_plus(Q) on a cap (b + c), where c contains u + Cu with Cu in b
+    and Q(u) = omega(Cu, u), and iota = m_plus(Q) + dim(a cap c) - dim(a cap b cap c)."""
+    A, B, C = a.frame, b.frame, c.frame
+    BC = np.hstack([B, C])
+    U, s, _ = np.linalg.svd(BC, full_matrices=False)
+    dom = _meet(A, U[:, s > INTERSECTION_TOL])
+    # u = By + Cz, so Cu = -By; y is fixed up to b cap c, which Q does not see
+    Cu = -B @ (np.linalg.pinv(BC, rcond=INTERSECTION_TOL) @ dom)[:B.shape[1]]
+    Q = Cu.T @ a.space.form @ dom
+    coindex = int(np.sum(np.linalg.eigvalsh(0.5 * (Q + Q.T)) > INTERSECTION_TOL)) if Q.size else 0
+    return coindex + _meet(A, C).shape[1] - _meet(_meet(A, B), C).shape[1], coindex
+
+
+_LINE_ANGLES = (0.0, np.pi / 2, np.pi / 4, -np.pi / 4)
+
+
+def _shared_line_triple(n, picks, seed):
+    """Three Lagrangians of R^2n, each the direct sum of one line per (p_i, q_i)
+    plane at an angle picked from _LINE_ANGLES and one random angle, so
+    that they share lines, all turned by one random unitary rotation."""
+    space = SymplecticSpace.standard(n)
+    rng = np.random.default_rng(seed)
+    angles = np.append(_LINE_ANGLES, rng.uniform(-np.pi / 2, np.pi / 2))[np.reshape(picks, (3, n))]
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return [LagrangianFrame(space, np.vstack([W.real, W.imag]))
+            for W in U * np.exp(1j * angles)[:, None, :]]
+
+
+_shared_lines = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, 4), min_size=3 * n, max_size=3 * n),
+    st.integers(0, 2 ** 32 - 1)))
+
+
+class TestTripleIndexOnSharedLines:
+    @settings(max_examples=100, deadline=None)
+    @given(case=_shared_lines)
+    def test_matches_the_definition(self, case):
+        a, b, c = _shared_line_triple(*case)
+        iota, coindex = _triple_reference(a, b, c)
+        assert triple_index(a, b, c) == iota
+        assert chart_coindex(a, b, c) == coindex
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_shared_lines)
+    def test_chart_coindex_cyclic_invariance(self, case):
+        a, b, c = _shared_line_triple(*case)
+        assert chart_coindex(a, b, c) == chart_coindex(b, c, a) == chart_coindex(c, a, b)
+
+    @pytest.mark.parametrize("left", ["x", "y"])
+    def test_additivity_over_direct_sums(self, left):
+        # iota(l (+) x, x (+) y, x (+) g) = iota(l, x, x) + iota(x, y, g) = 0 + 1
+        # for l = x or y, whose triple shares a line; iota(l, x, x) is 0 under
+        # Omega and under the left factor's -Omega alike
+        x, y, g = (line_frame(S1, v) for v in ([1.0, 0.0], [0.0, 1.0], [1.0, -1.0]))
+        first = {"x": x, "y": y}[left]
+        assert triple_index(first, x, x) == 0 and triple_index(x, y, g) == 1
+        assert triple_index(direct_sum_frame(first, x), direct_sum_frame(x, y),
+                            direct_sum_frame(x, g)) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cyclic_identity_next_to_an_intersection(self, n):
+        # c at principal sine 1e-6 from a (other angles zero): both sides read
+        # that sine as transversal
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(60 + n)
+        U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        a, c = (LagrangianFrame(space, np.vstack([V.real, V.imag]))
+                for V in (U, _near(U, rng, np.full(n, 1e-6), shared=True)))
+        b = random_lagrangian(space, rng)
+        assert intersection_dim(a, c) == n - 1
+        lhs = triple_index(a, b, c) - triple_index(b, c, a)
+        assert lhs == intersection_dim(a, c) - intersection_dim(b, a)
+
+
+class TestParityGuard:
+    """A principal sine within a factor two below INTERSECTION_TOL counts as
+    an intersection but leaves a Kashiwara eigenvalue beyond half the
+    tolerance; the odd count raises instead of returning an integer."""
+
+    x = line_frame(S1, [1.0, 0.0])
+    y = line_frame(S1, [0.0, 1.0])
+
+    def test_sine_at_the_tolerance_is_inconclusive(self):
+        near = line_frame(S1, [1.0, INTERSECTION_TOL])
+        assert principal_sines(self.x, near)[0] == INTERSECTION_TOL
+        with pytest.raises(Inconclusive):
+            triple_index(self.x, near, self.y)
+
+    @pytest.mark.parametrize("factor,iota", [(0.25, 0), (4.0, 1)])
+    def test_sines_off_the_tolerance(self, factor, iota):
+        # a quarter of it is the intersection iota(x, x, y) = 0, four times it
+        # the transversal line of iota(x, (1, 1e-6), y) = 1
+        near = line_frame(S1, [1.0, factor * INTERSECTION_TOL])
+        assert triple_index(self.x, near, self.y) == iota
 
 
 class TestHormander:
@@ -312,7 +420,6 @@ class TestHormander:
 
     def test_reversal_under_transversality(self):
         rng = np.random.default_rng(12)
-        from symind.core import intersection_dim
         S2 = SymplecticSpace.standard(2)
         done = 0
         while done < 15:

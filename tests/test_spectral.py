@@ -443,7 +443,7 @@ class TestBatchedMonodromies:
         s = np.linspace(0.0, 1.0, 7)
         frames = monodromy_graph_path(problem, (0.0, 1.0)).frames(s)
         for F, M in zip(frames, self.one_by_one(problem, s)):
-            expected = graph_lagrangian(SymplecticMatrix(problem.space, M), tol=1e-6).frame
+            expected = graph_lagrangian(SymplecticMatrix(problem.space, M)).frame
             assert np.max(np.abs(F - expected)) <= 1e-12
 
 
