@@ -66,6 +66,7 @@ MAX_REFINE_DEPTH = 26             # dyadic subdivisions of one initial interval
 ENDPOINT_PHASE_TOL = 1e-7         # eigenphase (rad) under which t = a or b is a crossing
 LOCATE_REL_TOL = 1e-12            # relative parameter tolerance of the crossing root finder
 INERTIA_FLOOR = 1e-7              # magnitude floor for calling a form eigenvalue zero
+CROSSING_FORM_TOL = 1e-6          # crossing_form's intersection sines; looser than INTERSECTION_TOL
 
 _TWO_PI = 2.0 * np.pi
 
@@ -274,12 +275,11 @@ def relative_crossing_matrix(path1: LagrangianPath, path2: LagrangianPath,
 
 
 def crossing_form(path: LagrangianPath, reference: LagrangianFrame, t0: float,
-                  h: float | None = None, tol: float = 1e-8,
-                  check_rng=None) -> InertiaTriple:
+                  h: float | None = None, check_rng=None) -> InertiaTriple:
     """Inertia of the crossing form of ``path`` against a fixed reference at t0."""
     if reference.space != path.space:
         raise SpaceMismatch("reference frame in the wrong space")
-    basis = intersection_basis(path(t0), reference, tol=max(tol, 1e-6))
+    basis = intersection_basis(path(t0), reference, tol=CROSSING_FORM_TOL)
     if basis.shape[1] == 0:
         raise NotACrossing(f"t0={t0} is not a crossing instant")
     h = 1e-5 * (path.b - path.a) if h is None else h

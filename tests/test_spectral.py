@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symind.catalog import make_problem
@@ -24,9 +24,11 @@ from symind.core import (
     direct_sum_frame,
     graph_lagrangian,
     line_frame,
+    random_symplectic,
     rotation_matrix,
 )
 from symind.errors import (
+    BCEliminationSingular,
     DriftBudgetExceeded,
     GridTooCoarse,
     StepSizeUnderflow,
@@ -266,8 +268,57 @@ class TestBands:
         for tau in taus:
             assert op.count_below(tau) == int(np.sum(w < tau)), tau
         assert np.allclose(op.eigenvalues(k=6), w[:6], rtol=1e-9, atol=1e-9)
-        if not op.coupled:   # bisection over the whole spectrum takes seconds
-            assert np.allclose(op.eigenvalues(), w, rtol=1e-9, atol=1e-9 * np.max(np.abs(w)))
+        assert np.allclose(op.eigenvalues(), w, rtol=1e-9, atol=1e-9 * np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("N", [16, 17, 41, 511])
+    @pytest.mark.parametrize("make, n", [(lambda: make_problem("harmonic", omega=9.0), 1),
+                                         (coupled_dim2_problem, 2)], ids=["n1", "n2"])
+    def test_folded_band_matches_the_dense_spectrum(self, make, n, N):
+        # odd N leaves the middle node unpaired in the fold; N = 16 is the
+        # smallest grid discretize takes
+        prob = make()
+        op = discretize(prob, periodic_frame(n), N)
+        assert op.coupled
+        w = sla.eigh(*dense_reference(prob, periodic_frame(n), N), eigvals_only=True)
+        assert np.allclose(op.eigenvalues(k=1), w[:1], rtol=1e-9, atol=1e-9)
+        assert np.allclose(op.eigenvalues(k=6), w[:6], rtol=1e-9, atol=1e-9)
+        assert np.allclose(op.eigenvalues(), w, rtol=1e-9, atol=1e-9 * np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("N", [3, 4, 16, 17])
+    def test_folded_band_of_random_cyclic_bands(self, N):
+        # blocks off the diagonal that are not symmetric, unlike discretize's,
+        # and a mass corner: the fold must transpose where it reverses
+        rng = np.random.default_rng(N)
+        n = 2
+        A = rng.standard_normal((2, N, n, n))
+        A[0] = A[0] + np.swapaxes(A[0], 1, 2)
+        G = rng.standard_normal((N, n, n))
+        M = np.zeros_like(A)
+        M[0] = G @ np.swapaxes(G, 1, 2) + 4.0 * np.eye(n)
+        M[1, -1] = 0.3 * rng.standard_normal((n, n))
+        op = DiscreteOperator(None, "synthetic", N, (0.0, 1.0), A, M)
+        w = sla.eigh(dense_from_bands(A), dense_from_bands(M), eigvals_only=True)
+        assert np.allclose(op.eigenvalues(), w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from([1, 2]), N=st.integers(16, 80), periodic=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_counts_between_eigenvalues_are_their_index(self, n, N, periodic, seed):
+        # the eigenvalues (LAPACK on the folded band) and the counts (block
+        # Sturm sequence on the cycle) are independent routes to one spectrum
+        prob = make_problem("harmonic", omega=9.0) if n == 1 else coupled_dim2_problem()
+        bc = periodic_frame(n) if periodic else graph_lagrangian(
+            random_symplectic(SymplecticSpace.standard(n), np.random.default_rng(seed)))
+        try:
+            op = discretize(prob, bc, N)
+        except BCEliminationSingular:
+            assume(False)
+        assert op.coupled
+        w = op.eigenvalues()
+        # no shift separates a pair closer than roundoff
+        apart = np.flatnonzero(np.diff(w) > 1e-8 * np.max(np.abs(w)))
+        for j in apart:
+            assert op.count_below(0.5 * (w[j] + w[j + 1])) == j + 1
 
     def test_zero_pivot_counts_as_positive(self):
         # diag(0, 1, -1): the exactly zero first pivot is taken as +tiny
