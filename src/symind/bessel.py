@@ -58,10 +58,6 @@ class BesselParam:
     def from_q(q: float) -> "BesselParam":
         return BesselParam(q, r_of_q(q))
 
-    @staticmethod
-    def from_r(r: float) -> "BesselParam":
-        return BesselParam(q_of_r(r), r)
-
 
 def singular_solutions(r: float, t):
     """(y1, y2, y1', y2') of -y'' + q(r) y / t^2 = 0 at t > 0, branch-correct.

@@ -4,10 +4,13 @@ classification of total-collision, parabolic, and hyperbolic asymptotic
 motions.
 
 The potential is U(q) = sum_{i<j} m_i m_j / |q_i - q_j| on the zero
-center-of-mass space off the collision set; a normalized central
-configuration solves grad U(s) + U(s) M s = 0 with <Ms, s> = 1.  The
-spectrum of Bbar against the threshold -1/4 decides finiteness of the Morse
-index of the motion; the limiting radial model in each eigendirection is the
+center-of-mass space off the collision set; U, grad U and D^2 U are array
+expressions over the pair differences q_i - q_j.  A normalized central
+configuration solves grad U(s) + U(s) M s = 0 with <Ms, s> = 1, found by one
+damped Gauss-Newton (Levenberg-Marquardt) loop on that equation stacked with
+the center-of-mass and normalization constraints.  The spectrum of Bbar
+against the threshold -1/4 decides finiteness of the Morse index of the
+motion; the limiting radial model in each eigendirection is the catalog's
 Bessel-type operator -d^2/dt^2 + beta / t^2 (total collision and parabolic
 infinity) or -d^2/dt^2 + beta / t^3 (hyperbolic infinity).
 """
@@ -20,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import THRESHOLD_Q
+from .bessel import THRESHOLD_Q, THRESHOLD_TOL
+from .catalog import make_problem
 from .errors import (
     CollisionConfiguration,
     ConvergedToCollision,
@@ -31,7 +35,8 @@ from .report import INFINITE, UNDETERMINED, IndexReport
 from .sturm import LIMIT_CIRCLE, LIMIT_POINT, REGULAR, SLProblem, morse_index_dirichlet
 
 COLLISION_TOL = 1e-9
-THRESHOLD_CONTACT_TOL = 1e-12
+CC_TOL = 1e-12          # residual |grad U + U M q| that ends the central-configuration solve
+CC_MAX_TRIALS = 100     # damped steps tried, accepted or not, before SolverDiverged
 
 TOTAL_COLLISION = "TotalCollision"
 PARABOLIC = "ParabolicInfinity"
@@ -61,10 +66,6 @@ class MassSystem:
     def n_bodies(self) -> int:
         return len(self.masses)
 
-    @property
-    def dof(self) -> int:
-        return self.d * self.n_bodies
-
     def mass_matrix(self) -> np.ndarray:
         return np.diag(np.repeat(np.asarray(self.masses, float), self.d))
 
@@ -92,63 +93,51 @@ class Configuration:
         m = np.asarray(self.system.masses)
         return float((m[:, None] * self.positions ** 2).sum())
 
-    def min_separation(self) -> float:
+    def pairs(self):
+        """The pair differences q_i - q_j (n, n, d), the distances
+        |q_i - q_j| (n, n) with inf on the diagonal, and the mass products
+        m_i m_j (n, n)."""
         q = self.positions
-        n = self.system.n_bodies
-        return min(np.linalg.norm(q[i] - q[j]) for i in range(n) for j in range(i + 1, n))
+        m = np.asarray(self.system.masses, dtype=float)
+        diff = q[:, None, :] - q[None, :, :]
+        r = np.linalg.norm(diff, axis=-1)
+        np.fill_diagonal(r, np.inf)
+        return diff, r, np.outer(m, m)
+
+    def min_separation(self) -> float:
+        return float(self.pairs()[1].min())
 
 
-def _check_collision_free(config: Configuration):
-    if config.min_separation() < COLLISION_TOL:
+def _pairs(config: Configuration):
+    """``Configuration.pairs``, or CollisionConfiguration when two bodies coincide."""
+    diff, r, mm = config.pairs()
+    if r.min() < COLLISION_TOL:
         raise CollisionConfiguration("two bodies coincide")
+    return diff, r, mm
 
 
 def potential(config: Configuration) -> float:
     """U(q) = sum_{i<j} m_i m_j / |q_i - q_j|."""
-    _check_collision_free(config)
-    m = config.system.masses
-    q = config.positions
-    n = config.system.n_bodies
-    return float(sum(m[i] * m[j] / np.linalg.norm(q[i] - q[j])
-                     for i in range(n) for j in range(i + 1, n)))
+    _, r, mm = _pairs(config)
+    return float(0.5 * (mm / r).sum())
 
 
 def gradient(config: Configuration) -> np.ndarray:
     """grad U as a flat d*n vector."""
-    _check_collision_free(config)
-    m = config.system.masses
-    q = config.positions
-    n, d = config.system.n_bodies, config.system.d
-    g = np.zeros((n, d))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            diff = q[i] - q[j]
-            g[i] -= m[i] * m[j] * diff / np.linalg.norm(diff) ** 3
-    return g.reshape(-1)
+    diff, r, mm = _pairs(config)
+    return -((mm / r ** 3)[:, :, None] * diff).sum(axis=1).reshape(-1)
 
 
 def hessian(config: Configuration) -> np.ndarray:
     """D^2 U(q): off-diagonal blocks (m_i m_j / r^3)(I - 3 u u^T), diagonal
     blocks the negative row sums; uniform translations span part of the
     kernel."""
-    _check_collision_free(config)
-    m = config.system.masses
-    q = config.positions
+    diff, r, mm = _pairs(config)
     n, d = config.system.n_bodies, config.system.d
-    H = np.zeros((n * d, n * d))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            diff = q[i] - q[j]
-            r = np.linalg.norm(diff)
-            u = diff / r
-            block = (m[i] * m[j] / r ** 3) * (np.eye(d) - 3.0 * np.outer(u, u))
-            H[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-            H[i * d:(i + 1) * d, i * d:(i + 1) * d] -= block
-    return 0.5 * (H + H.T)
+    u = diff / r[:, :, None]
+    blocks = (mm / r ** 3)[:, :, None, None] * (np.eye(d) - 3.0 * u[..., :, None] * u[..., None, :])
+    blocks[np.arange(n), np.arange(n)] = -blocks.sum(axis=1)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 @dataclass
@@ -157,7 +146,6 @@ class CentralConfig:
 
     config: Configuration
     residual: float
-    normalized: bool = True
 
     @property
     def system(self) -> MassSystem:
@@ -177,52 +165,57 @@ def central_config_residual(config: Configuration) -> float:
     return float(np.linalg.norm(gradient(config) + U * (M @ config.flat)))
 
 
-def central_configuration(system: MassSystem, initial: Configuration,
-                          tol: float = 1e-12, max_iter: int = 100) -> CentralConfig:
-    """Projected Newton iteration for grad U(s) + U(s) M s = 0 on the
-    ellipsoid I(q) = 1 inside the zero center-of-mass subspace, with
-    backtracking.  The Newton system is solved in least squares because the
-    rotational orbit directions of a central configuration are neutral."""
-    cfg = _project_constraints(initial)
-    _check_collision_free(cfg)
+def central_configuration(system: MassSystem, initial: Configuration) -> CentralConfig:
+    """Normalized central configuration near ``initial`` by one damped
+    Gauss-Newton (Levenberg-Marquardt) loop.
+
+    The residual is r(q) = [grad U + U M q; sum_i m_i q_i; q^T M q - 1] and
+    its Jacobian stacks D^2 U + (Mq)(grad U)^T + U M, the center-of-mass rows
+    and 2 (Mq)^T.  Each step solves [J; sqrt(mu) I] x = [-r; 0] in least
+    squares, which keeps it bounded along the rotations a central
+    configuration is neutral to.  A step that lowers |r| is taken and mu
+    divided by 3; otherwise, or when the trial meets the collision set, mu is
+    multiplied by 4.  The loop ends at the projected configuration once its
+    residual |grad U + U M q| is at most CC_TOL; ConvergedToCollision when an
+    accepted iterate nears the collision set, SolverDiverged after
+    CC_MAX_TRIALS steps."""
     M = system.mass_matrix()
-    n, d = system.n_bodies, system.d
+    com_rows = np.kron(np.asarray(system.masses, dtype=float), np.eye(system.d))
 
-    com_rows = np.zeros((d, n * d))
-    for k in range(d):
-        for i in range(n):
-            com_rows[k, i * d + k] = system.masses[i]
+    def residual(q):
+        cfg = Configuration(system, q)
+        Mq = M @ q
+        return np.concatenate([gradient(cfg) + potential(cfg) * Mq, com_rows @ q,
+                               [q @ Mq - 1.0]]), cfg
 
-    res = central_config_residual(cfg)
-    for _ in range(max_iter):
-        if res <= tol:
-            return CentralConfig(cfg, res)
-        q = cfg.flat
-        U = potential(cfg)
-        G = gradient(cfg) + U * (M @ q)
-        DG = hessian(cfg) + np.outer(M @ q, gradient(cfg)) + U * M
-        constraints = np.vstack([com_rows, (M @ q)[None, :]])
-        # tangent basis of {com = 0, I = 1} at q
-        _, sv, vt = np.linalg.svd(constraints)
-        K = vt[np.sum(sv > 1e-12):].T
-        step_t, *_ = np.linalg.lstsq(K.T @ DG @ K, -(K.T @ G), rcond=None)
-        step = K @ step_t
-        scale = 1.0
-        for _ in range(40):
-            trial = _project_constraints(Configuration(system, (q + scale * step).reshape(n, d)))
-            if trial.min_separation() < 10 * COLLISION_TOL:
-                scale *= 0.5
-                continue
-            new_res = central_config_residual(trial)
-            if new_res < res or new_res <= tol:
-                cfg, res = trial, new_res
-                break
-            scale *= 0.5
+    _pairs(initial)             # coincident bodies, before the projection divides by I(q)
+    q = _project_constraints(initial).flat
+    r, cfg = residual(q)
+    mu = 1e-3
+    for _ in range(CC_MAX_TRIALS):
+        projected = _project_constraints(cfg)
+        res = central_config_residual(projected)
+        if res <= CC_TOL:
+            return CentralConfig(projected, res)
+        Mq = M @ q
+        J = np.vstack([hessian(cfg) + np.outer(Mq, gradient(cfg)) + potential(cfg) * M,
+                       com_rows, 2.0 * Mq[None, :]])
+        step, *_ = np.linalg.lstsq(np.vstack([J, math.sqrt(mu) * np.eye(len(q))]),
+                                   np.concatenate([-r, np.zeros(len(q))]), rcond=None)
+        try:
+            trial = residual(q + step)
+        except CollisionConfiguration:
+            mu *= 4.0
+            continue
+        if np.linalg.norm(trial[0]) < np.linalg.norm(r):
+            q = q + step
+            r, cfg = trial
+            mu /= 3.0
+            if cfg.min_separation() < 100 * COLLISION_TOL:
+                raise ConvergedToCollision("iteration approached the collision set")
         else:
-            raise SolverDiverged(f"no descent step found at residual {res:.2e}")
-        if cfg.min_separation() < 100 * COLLISION_TOL:
-            raise ConvergedToCollision("iteration approached the collision set")
-    raise SolverDiverged(f"residual {res:.2e} after {max_iter} iterations")
+            mu *= 4.0
+    raise SolverDiverged(f"residual {res:.2e} after {CC_MAX_TRIALS} damped steps")
 
 
 # -- the normalized matrix Bbar(a) ---------------------------------------------
@@ -264,17 +257,20 @@ def _motion_name(motion: str) -> str:
     return _MOTIONS[key]
 
 
-def _scalar_model_problem(beta: float, hyperbolic: bool) -> SLProblem:
-    if hyperbolic:
-        return SLProblem(1, (1.0, 60.0), 1.0, 0.0,
-                         lambda t, _b=beta: _b / t ** 3,
-                         endpoints=(REGULAR, REGULAR), catalog=None,
-                         params={"beta": beta, "branch": "t^-3"})
-    kind = LIMIT_CIRCLE if beta < 0.75 else LIMIT_POINT
-    return SLProblem(1, (0.0, 1.0), 1.0, 0.0,
-                     lambda t, _b=beta: _b / t ** 2,
-                     endpoints=(kind, REGULAR), catalog="bessel",
-                     params={"q": beta})
+def _limiting_problem(eigs, motion: str, **params) -> SLProblem:
+    """-d^2/dt^2 + diag(eigs)/t^3 on [1, 60] for a hyperbolic motion, and
+    -d^2/dt^2 + diag(eigs)/t^2 on (0, 1] otherwise."""
+    eigs = [float(lam) for lam in eigs]
+    D = np.diag(eigs)
+    params = {**params, "motion": motion, "bbar_eigs": eigs}
+    if motion == HYPERBOLIC:
+        return SLProblem(len(eigs), (1.0, 60.0), 1.0, 0.0, lambda t, _D=D: _D / t ** 3,
+                         endpoints=(REGULAR, REGULAR), catalog="nbody-asymptotic",
+                         params=params)
+    kind = LIMIT_CIRCLE if max(eigs) < 0.75 else LIMIT_POINT
+    return SLProblem(len(eigs), (0.0, 1.0), 1.0, 0.0, lambda t, _D=D: _D / t ** 2,
+                     endpoints=(kind, REGULAR), catalog="nbody-asymptotic",
+                     params=params)
 
 
 def asymptotic_morse_from_spectrum(eigs, motion, command: str = "nbody") -> IndexReport:
@@ -284,7 +280,7 @@ def asymptotic_morse_from_spectrum(eigs, motion, command: str = "nbody") -> Inde
     motion = _motion_name(motion)
     per_direction = []
     for lam in eigs:
-        if abs(lam - THRESHOLD_Q) <= THRESHOLD_CONTACT_TOL:
+        if abs(lam - THRESHOLD_Q) <= THRESHOLD_TOL:
             per_direction.append("Threshold")
         elif lam > THRESHOLD_Q:
             per_direction.append("Finite")
@@ -302,7 +298,7 @@ def asymptotic_morse_from_spectrum(eigs, motion, command: str = "nbody") -> Inde
         # is always finite; the truncated count below is a diagnostic only
         total = 0
         for lam in eigs:
-            rep = morse_index_dirichlet(_scalar_model_problem(lam, True),
+            rep = morse_index_dirichlet(_limiting_problem([lam], HYPERBOLIC),
                                         delta_schedule=(1.0, 2.0, 4.0, 8.0))
             total += rep.verdict if isinstance(rep.verdict, int) else 0
         diagnostics["truncated_count"] = total
@@ -320,7 +316,7 @@ def asymptotic_morse_from_spectrum(eigs, motion, command: str = "nbody") -> Inde
     total = 0
     points = []
     for lam in eigs:
-        rep = morse_index_dirichlet(_scalar_model_problem(lam, False))
+        rep = morse_index_dirichlet(make_problem("bessel", q=lam))
         total += rep.verdict if isinstance(rep.verdict, int) else 0
         points.extend(rep.conjugate_points)
     return IndexReport(command=command, verdict=int(total),
@@ -404,20 +400,4 @@ def asymptotic_problem(config_id: str = "two-body", motion=TOTAL_COLLISION,
     """Catalog hook: the diagonalized limiting Bessel-type system of an
     asymptotic motion as a matrix Sturm-Liouville problem."""
     cc = seed_central_config(config_id, **kwargs)
-    eigs = bbar_spectrum(cc)
-    motion = _motion_name(motion)
-    D = np.diag(eigs)
-    if motion == HYPERBOLIC:
-        return SLProblem(len(eigs), (1.0, 60.0), 1.0, 0.0,
-                         lambda t, _D=D: _D / t ** 3,
-                         endpoints=(REGULAR, REGULAR),
-                         catalog="nbody-asymptotic",
-                         params={"config": config_id, "motion": motion,
-                                 "bbar_eigs": eigs.tolist()})
-    kind = LIMIT_CIRCLE if float(eigs.max()) < 0.75 else LIMIT_POINT
-    return SLProblem(len(eigs), (0.0, 1.0), 1.0, 0.0,
-                     lambda t, _D=D: _D / t ** 2,
-                     endpoints=(kind, REGULAR),
-                     catalog="nbody-asymptotic",
-                     params={"config": config_id, "motion": motion,
-                             "bbar_eigs": eigs.tolist()})
+    return _limiting_problem(bbar_spectrum(cc), _motion_name(motion), config=config_id)

@@ -46,14 +46,6 @@ class IndexReport:
             raise ValueError("an Undetermined verdict requires a reason")
         self.provenance.setdefault("toolkit_version", __version__)
 
-    @property
-    def is_finite(self) -> bool:
-        return isinstance(self.verdict, int)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.verdict == INFINITE
-
     def to_dict(self) -> dict:
         return {
             "command": self.command,

@@ -282,16 +282,15 @@ def _resolve_discrete_bc(problem, bc):
     raise ValueError(f"cannot interpret boundary condition {bc!r}")
 
 
-def discretize(problem: SLProblem, bc, N: int, s: float | None = None,
-               span: tuple | None = None) -> DiscreteOperator:
+def discretize(problem: SLProblem, bc, N: int, s: float | None = None) -> DiscreteOperator:
     """Second-order central differences with midpoint P and Q sampling;
     boundary conditions are eliminated against the Lagrangian frame's kernel
-    description.  Requires the span to be regular (truncate singular problems
-    first)."""
+    description.  Requires the interval to be regular (truncate singular
+    problems first)."""
     if N < 16:
         raise GridTooCoarse("need at least 16 interior grid points")
     n = problem.dim
-    c, d = problem.interval if span is None else span
+    c, d = problem.interval
     h = (d - c) / (N + 1)
     nodes = c + h * np.arange(N + 2)
     P, Q, R = problem.coefficients(
@@ -347,14 +346,14 @@ def discretize(problem: SLProblem, bc, N: int, s: float | None = None,
                             _potential_error(P[1:N + 1], Q[1:N + 1], R[1:N + 1], np.ones(N), h))
 
 
-def discretize_neumann_ghost(problem: SLProblem, N: int, span: tuple | None = None) -> DiscreteOperator:
+def discretize_neumann_ghost(problem: SLProblem, N: int) -> DiscreteOperator:
     """Reference Neumann scheme via reflected ghost points, for cross-checking
     the frame-eliminated Neumann discretization."""
     if N < 16:
         raise GridTooCoarse("need at least 16 interior grid points")
     if problem.dim != 1:
         raise ValueError("ghost-point comparison implemented for scalar problems")
-    c, d = problem.interval if span is None else span
+    c, d = problem.interval
     h = (d - c) / (N + 1)
     P, Q, R = problem.coefficients(c + h * np.arange(N + 2))
     w = np.ones(N + 2)
@@ -386,13 +385,13 @@ def spectral_flow(family, s_interval, window_gap=None,
     return family(s0).morse_count(kernel_band) - family(s1).morse_count(kernel_band)
 
 
-def discretized_family(problem: SLProblem, bc, N: int, span: tuple | None = None):
+def discretized_family(problem: SLProblem, bc, N: int):
     """s -> DiscreteOperator for a problem with parameter-dependent zero-order
     term and/or parameter-dependent boundary condition."""
     bc_fun = bc if callable(bc) and not isinstance(bc, LagrangianFrame) else (lambda s: bc)
 
     def family(s):
-        return discretize(problem, bc_fun(s), N, s=s, span=span)
+        return discretize(problem, bc_fun(s), N, s=s)
 
     return family
 
@@ -400,9 +399,9 @@ def discretized_family(problem: SLProblem, bc, N: int, span: tuple | None = None
 # -- the spectral flow formula -------------------------------------------------
 
 
-def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = None) -> LagrangianPath:
+def monodromy_graph_path(problem: SLProblem, s_interval) -> LagrangianPath:
     """s -> Graph(M_s) in the product boundary space, M_s the fundamental
-    solution of the s-frozen problem across the span, 64 initial samples.
+    solution of the s-frozen problem across the interval, 64 initial samples.
 
     The sampler takes every s a refinement wave of the crossing scan asks for
     in one batch: one stacked Magnus run for their monodromies
@@ -411,12 +410,11 @@ def monodromy_graph_path(problem: SLProblem, s_interval, span: tuple | None = No
     without ``c`` has one monodromy for every s, so a batch then integrates
     one member and repeats its frame.
     """
-    c, d = problem.interval if span is None else span
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
 
     def frames(ss):
         members = ss if problem.c is not None else ss[:1]
-        F = stacked_graph_frames(problem.space, monodromies(problem, (c, d), members))
+        F = stacked_graph_frames(problem.space, monodromies(problem, problem.interval, members))
         return np.broadcast_to(F, (len(ss),) + F.shape[1:])
 
     return LagrangianPath(prod, frames, *s_interval, samples=64)
@@ -434,17 +432,16 @@ def _boundary_path(problem: SLProblem, bc, s_interval) -> LagrangianPath:
                           *s_interval, samples=64)
 
 
-def verify_sf_formula(problem: SLProblem, bc, s_interval, N: int = 512,
-                      span: tuple | None = None) -> dict:
+def verify_sf_formula(problem: SLProblem, bc, s_interval, N: int = 512) -> dict:
     """Check spfl(L_{s, Lambda_s}) = -mu(Lambda_s, Graph(M_s)) on a regular
     problem: the left side by eigenvalue counts of the discretized family at
     the two ends, the right side by the crossing machinery on the
     boundary-data paths."""
     s0, s1 = s_interval
-    fam = discretized_family(problem, bc, N, span=span)
+    fam = discretized_family(problem, bc, N)
     sf = spectral_flow(fam, s_interval)
     mu, records = maslov_clm(_boundary_path(problem, bc, s_interval),
-                             monodromy_graph_path(problem, s_interval, span=span), (s0, s1))
+                             monodromy_graph_path(problem, s_interval), (s0, s1))
     return {
         "sf": sf,
         "maslov": mu,
@@ -467,7 +464,7 @@ def left_line_to_product(problem: SLProblem, left) -> LagrangianFrame:
 
 def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
                    M_values=(1e2, 1e3), N: int = 1024,
-                   u_values=(0.4, 0.2, 0.1, 0.05, 0.025), span: tuple | None = None) -> dict:
+                   u_values=(0.4, 0.2, 0.1, 0.05, 0.025)) -> dict:
     """Ghost-eigenvalue scan: eigenvalues diving below -M as the boundary
     condition at the truncation point rotates off the Friedrichs line.
 
@@ -498,7 +495,7 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
     mu, _ = maslov_clm(fr_path, path, (0.0, u_max))
 
     def scan(u):
-        op = discretize(problem, left_line_to_product(problem, left_frame(u)), N, span=span)
+        op = discretize(problem, left_line_to_product(problem, left_frame(u)), N)
         return ([op.count_below(-float(M)) for M in M_values],
                 float(op.eigenvalues(k=1)[0]))
 
@@ -521,8 +518,7 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
 # -- Morse jump identity ---------------------------------------------------------
 
 
-def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512,
-                     zero_band: float | None = None, span: tuple | None = None) -> dict:
+def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512) -> dict:
     """Check iMor(L_1) - iMor(L_0) = mu(Lambda_s, Graph(M_s)) by two
     independent routes, for a boundary path bc_path on [0, 1] from bc0 to
     bc1 (L_s carries bc_path(s) and c(s, .)).
@@ -533,10 +529,10 @@ def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512,
     iMor(L_0) - iMor(L_1), and the spectral flow formula makes it -mu, so
     the residual iMor(L_1) - iMor(L_0) - mu is zero when both routes hold.
     """
-    i0 = discretize(problem, bc0, N, s=0.0, span=span).morse_count(zero_band)
-    i1 = discretize(problem, bc1, N, s=1.0, span=span).morse_count(zero_band)
+    i0 = discretize(problem, bc0, N, s=0.0).morse_count()
+    i1 = discretize(problem, bc1, N, s=1.0).morse_count()
     mu, _ = maslov_clm(_boundary_path(problem, bc_path, (0.0, 1.0)),
-                       monodromy_graph_path(problem, (0.0, 1.0), span=span), (0.0, 1.0))
+                       monodromy_graph_path(problem, (0.0, 1.0)), (0.0, 1.0))
     return {"imor0": i0, "imor1": i1, "maslov": mu, "residual": i1 - i0 - mu, "N": N}
 
 
@@ -545,27 +541,14 @@ def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512,
 
 @dataclass
 class EigenTrace:
-    """Lowest-m spectra along a parameter grid, sorted at each parameter.
-
-    The tracked window is widened until it contains every eigenvalue in
-    [-gap, gap] at each parameter.
-    """
+    """Lowest-m spectra along a parameter grid, sorted at each parameter."""
 
     s_grid: np.ndarray
     eigenvalues: np.ndarray          # (len(s_grid), m)
 
     @staticmethod
-    def collect(family, s_values, m: int = 6, gap: float | None = None) -> "EigenTrace":
-        rows = []
-        for s in s_values:
-            op = family(s)
-            k = m
-            w = op.eigenvalues(k=k)
-            if gap is not None:
-                while w[-1] < gap and k < op.size:
-                    k = min(2 * k, op.size)
-                    w = op.eigenvalues(k=k)
-            rows.append(w[:m])
+    def collect(family, s_values, m: int = 6) -> "EigenTrace":
+        rows = [family(s).eigenvalues(k=m) for s in s_values]
         return EigenTrace(np.asarray(s_values, float), np.array(rows))
 
     def to_csv(self, path):

@@ -543,9 +543,11 @@ def morse_index_dirichlet(problem: SLProblem,
 # -- boundary charts and the trace map ----------------------------------------
 
 
-def darboux_basis(K: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def darboux_basis(K: np.ndarray) -> np.ndarray:
     """Columns T with T^T K T equal to the standard form matrix, for a
-    nonsingular skew K.  Symplectic Gram-Schmidt with full pivoting."""
+    nonsingular skew K.  Symplectic Gram-Schmidt with full pivoting;
+    SelectionFailed once the largest pairing left is at most 1e-10 of the
+    form's scale."""
     m = K.shape[0]
     if m % 2:
         raise SelectionFailed("odd-dimensional skew form cannot be normalized")
@@ -563,7 +565,7 @@ def darboux_basis(K: np.ndarray, tol: float = 1e-10) -> np.ndarray:
                 val = abs(pair(avail[i], avail[j]))
                 if val > best:
                     best, bi, bj = val, i, j
-        if best <= tol * scale:
+        if best <= 1e-10 * scale:
             raise SelectionFailed("skew form is degenerate on the working space")
         u = avail[bi]
         v = avail[bj] / pair(u, avail[bj])
@@ -736,9 +738,7 @@ def boundary_chart(problem: SLProblem) -> BoundaryChart:
         "no kernel basis for a singular end outside the Bessel catalog entries")
 
 
-def trace_map(problem: SLProblem, f_data, kernel_basis=None,
-              regular_end_probes=None, chart: BoundaryChart | None = None,
-              limit_sequence=None) -> np.ndarray:
+def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) -> np.ndarray:
     """Boundary-data vector of a maximal-domain function.
 
     ``f_data``: callable t -> (value, quasi-derivative).  For a regular
@@ -746,19 +746,12 @@ def trace_map(problem: SLProblem, f_data, kernel_basis=None,
     limit-circle end the left block is the normalized bracket vector
     -[f, y_i](a+), limits taken along a geometric sequence with a Cauchy
     test.  At a limit-point end only the regular-end block is produced.
-
-    ``regular_end_probes``: optional list of (value, quasi-derivative) pairs
-    at b; when given, the right block is the brackets [f, z_j](b) against
-    them instead of the raw endpoint data.
     """
     a, b = problem.interval
     side = problem.singular_end()
 
     def b_block():
         val, quasi = f_data(b)
-        if regular_end_probes is not None:
-            return np.array([boundary_bracket((val, quasi), probe)
-                             for probe in regular_end_probes])
         return np.concatenate([np.atleast_1d(quasi), np.atleast_1d(val)])
 
     if side is None:
@@ -770,14 +763,12 @@ def trace_map(problem: SLProblem, f_data, kernel_basis=None,
 
     if chart is None:
         chart = boundary_chart(problem)
-    kernel = kernel_basis if kernel_basis is not None else chart.kernel_data
+    kernel = chart.kernel_data
     if kernel is None:
         raise KernelBasisUnavailable("no kernel basis for the singular-end block")
 
-    seq = limit_sequence
-    if seq is None:
-        base = min(1e-3, 0.1 * (b - a))
-        seq = [a + base * 4.0 ** (-k) for k in range(8)]
+    base = min(1e-3, 0.1 * (b - a))
+    seq = [a + base * 4.0 ** (-k) for k in range(8)]
     raw = []
     for y in kernel:
         vals = [-boundary_bracket(f_data(t), y(t)) for t in seq]

@@ -222,6 +222,18 @@ class TestNbodyCommand:
         assert code == EXIT_OK
         assert isinstance(json.loads(out)["verdict"], int)
 
+    def test_off_line_euler3_configuration(self, capsys, tmp_path):
+        # euler3 at d = 2 moved 1e-2 N(0, 1) off its line (seed 1): the
+        # undamped Newton solver exited 1 here with SolverDiverged
+        q = np.array([[-math.sqrt(0.5), 0.0], [0.0, 0.0], [math.sqrt(0.5), 0.0]])
+        q += 1e-2 * np.random.default_rng(1).standard_normal((3, 2))
+        cfg = tmp_path / "euler3.json"
+        cfg.write_text(json.dumps({"masses": [1, 1, 1], "positions": q.tolist(),
+                                   "dimension": 2}))
+        code, out, _ = run_cli(["nbody", "--config", str(cfg)], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "Infinite"
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):

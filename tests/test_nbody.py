@@ -2,13 +2,18 @@
 classification of asymptotic motions.
 
 Oracles: closed-form two-body blocks, finite-difference gradients/Hessians,
-homogeneity identities, explicit equilateral/collinear configurations.
+homogeneity identities, the pairwise loops the array kernels replaced,
+explicit equilateral/collinear configurations, the closed-form euler3 Bbar
+spectrum, and Euler's collinear quintic solved in mpmath at 50 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from symind.errors import CollisionConfiguration, NotNormalized
 from symind.nbody import (
@@ -130,6 +135,80 @@ class TestHessian:
         assert np.allclose(hessian(scaled), hessian(cfg) / mu ** 3, rtol=1e-12)
 
 
+def loop_kernels(cfg):
+    """U, grad U and D^2 U by the loop over ordered pairs that the array
+    kernels replaced."""
+    m, q = cfg.system.masses, cfg.positions
+    n, d = cfg.system.n_bodies, cfg.system.d
+    U, g, H = 0.0, np.zeros((n, d)), np.zeros((n * d, n * d))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            diff = q[i] - q[j]
+            r = np.linalg.norm(diff)
+            u = diff / r
+            U += 0.5 * m[i] * m[j] / r
+            g[i] -= m[i] * m[j] * diff / r ** 3
+            block = (m[i] * m[j] / r ** 3) * (np.eye(d) - 3.0 * np.outer(u, u))
+            H[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
+            H[i * d:(i + 1) * d, i * d:(i + 1) * d] -= block
+    return U, g.reshape(-1), H
+
+
+@st.composite
+def separated_configurations(draw):
+    """n = 2..5 bodies in d = 2 or 3 with masses in [0.1, 10] and every pair
+    at least 0.3 apart."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.sampled_from((2, 3)))
+    masses = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    coords = draw(st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d))
+    cfg = Configuration(MassSystem(tuple(masses), d), np.reshape(coords, (n, d)))
+    assume(cfg.min_separation() >= 0.3)
+    return cfg
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=separated_configurations())
+    def test_matches_the_pair_loop(self, cfg):
+        U, g, H = loop_kernels(cfg)
+        assert potential(cfg) == pytest.approx(U, rel=1e-13)
+        assert np.linalg.norm(gradient(cfg) - g) <= 1e-13 * np.linalg.norm(g)
+        assert np.linalg.norm(hessian(cfg) - H) <= 1e-13 * np.linalg.norm(H)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=separated_configurations())
+    def test_translation_and_homogeneity_identities(self, cfg):
+        n, d = cfg.system.n_bodies, cfg.system.d
+        g = gradient(cfg)
+        U = potential(cfg)
+        # no net force: sum_i grad_i U = 0
+        assert np.linalg.norm(g.reshape(n, d).sum(axis=0)) <= 1e-12 * np.linalg.norm(g)
+        # Euler's identity for degree -1: q . grad U = -U
+        assert cfg.flat @ g == pytest.approx(-U, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=separated_configurations(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_hessian_symmetric_with_translation_kernel(self, cfg, seed):
+        n, d = cfg.system.n_bodies, cfg.system.d
+        H = hessian(cfg)
+        scale = np.linalg.norm(H)
+        assert np.linalg.norm(H - H.T) <= 1e-14 * scale
+        translations = np.tile(np.eye(d), (n, 1))            # (n d, d)
+        assert np.linalg.norm(H @ translations) <= 1e-12 * scale
+        # H v against a central difference of the gradient
+        v = np.random.default_rng(seed).standard_normal(n * d)
+        v /= np.linalg.norm(v)
+        h = 1e-5
+        shape = cfg.positions.shape
+        fd = (gradient(Configuration(cfg.system, (cfg.flat + h * v).reshape(shape)))
+              - gradient(Configuration(cfg.system, (cfg.flat - h * v).reshape(shape)))) / (2 * h)
+        Hv = H @ v
+        assert np.linalg.norm(Hv - fd) / max(1.0, np.linalg.norm(Hv)) < 1e-6
+
+
 class TestCentralConfiguration:
     def test_two_body_closed_form(self):
         cc = two_body()
@@ -170,6 +249,58 @@ class TestCentralConfiguration:
         d01 = np.linalg.norm(cc.config.positions[0] - cc.config.positions[1])
         d12 = np.linalg.norm(cc.config.positions[1] - cc.config.positions[2])
         assert d01 == pytest.approx(d12, abs=1e-9)
+
+
+# the equal-mass collinear configuration at d = 2 (closed form)
+EULER3_BBAR = np.sort([-8.0 / 15.0, -2.0 / 9.0, 0.0, 0.0, 4.0 / 9.0, 16.0 / 15.0])
+
+
+def test_coincident_bodies_raise_collision():
+    # all bodies at one point: I(q) = 0, so normalizing would give NaN positions
+    system = MassSystem((1.0, 1.0), 2)
+    with pytest.raises(CollisionConfiguration):
+        central_configuration(system, Configuration(system, [[0.3, 0.0], [0.3, 0.0]]))
+
+
+class TestOffLineEuler3:
+    """euler3 moved off its line: the undamped Newton iteration this solver
+    replaced raised SolverDiverged on 10 of these 20 draws at 1e-4 and 19 of
+    20 at 1e-2."""
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-2])
+    def test_converges_to_the_collinear_configuration(self, scale):
+        start = euler3()
+        for seed in range(20):
+            q = start.config.positions + scale * np.random.default_rng(seed).standard_normal((3, 2))
+            cc = central_configuration(start.system, Configuration(start.system, q))
+            assert cc.residual <= 1e-12
+            assert np.allclose(np.sort(bbar_spectrum(cc)), EULER3_BBAR, rtol=0, atol=1e-9)
+            assert asymptotic_morse(cc, "total-collision").verdict == INFINITE
+
+
+class TestEulerQuintic:
+    """Collinear central configuration of masses m1, m2, m3 in that order on
+    the line: rho = (x3 - x2) / (x2 - x1) is the positive root of
+    (m1+m2) rho^5 + (3m1+2m2) rho^4 + (3m1+m2) rho^3 - (m2+3m3) rho^2
+    - (2m2+3m3) rho - (m2+m3) (Moulton, Ann. Math. 12, 1910)."""
+
+    @pytest.mark.parametrize("masses", [(1.0, 2.0, 3.0), (3.0, 1.0, 0.5)])
+    def test_spacing_ratio_matches_the_quintic(self, masses):
+        with mpmath.workdps(50):
+            m1, m2, m3 = (mpmath.mpf(m) for m in masses)
+            coeffs = [m1 + m2, 3 * m1 + 2 * m2, 3 * m1 + m2,
+                      -(m2 + 3 * m3), -(2 * m2 + 3 * m3), -(m2 + m3)]
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=200)
+            positive = [r.real for r in roots if abs(r.imag) < 1e-40 and r.real > 0]
+            assert len(positive) == 1                 # Descartes: one sign change
+            rho = float(positive[0])
+        system = MassSystem(masses, 2)
+        start = Configuration(system, [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        cc = central_configuration(system, start)
+        assert cc.residual <= 1e-12
+        x = cc.config.positions[:, 0]
+        assert np.allclose(cc.config.positions[:, 1], 0.0, rtol=0, atol=1e-12)
+        assert (x[2] - x[1]) / (x[1] - x[0]) == pytest.approx(rho, rel=0, abs=1e-10)
 
 
 class TestBbar:
