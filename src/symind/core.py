@@ -154,7 +154,9 @@ def stacked_lagrangian_frames(space: SymplecticSpace, columns, tol: float | None
     """``lagrangian_from_columns`` over a stack: spanning columns (k, dim, m)
     in, orthonormal frames (k, dim, half_dim) out.  The isotropy residual,
     the QR factorization and the rank check each run once over the stack;
-    the first offending member raises."""
+    the first offending member raises.  A single column (m = 1) skips the
+    QR: its norm is R's one diagonal entry and the frame is the column over
+    its norm, which may differ from the QR's by sign."""
     cols = np.asarray(columns, dtype=float)
     if cols.ndim != 3 or cols.shape[1] != space.dim:
         raise ValueError(f"columns must have {space.dim} rows")
@@ -166,15 +168,19 @@ def stacked_lagrangian_frames(space: SymplecticSpace, columns, tol: float | None
     if bad.size:
         raise NotIsotropic(f"column span is not isotropic (residual {iso[bad[0]]:.3e})")
 
-    q, r = np.linalg.qr(cols)
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    single = cols.shape[2] == 1
+    if single:
+        diag = np.sqrt(np.sum(cols * cols, axis=1))
+    else:
+        q, r = np.linalg.qr(cols)
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
     # R's diagonal scales like the columns, the isotropy residual like their square
     rank = np.sum(diag > np.reshape(tol, (-1, 1)), axis=1)
     if rank.min() < space.half_dim:
         raise RankDeficient(f"span has rank {rank.min()} < {space.half_dim}")
     if rank.max() > space.half_dim:
         raise ValueError("frame must be dim x half_dim")
-    return q[:, :, :space.half_dim]
+    return cols / diag[:, None] if single else q[:, :, :space.half_dim]
 
 
 def intersection_dim(A: LagrangianFrame, B: LagrangianFrame) -> int:
@@ -196,8 +202,12 @@ def principal_sines(A: LagrangianFrame, B: LagrangianFrame) -> np.ndarray:
 def stacked_principal_sines(space: SymplecticSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``principal_sines`` of frame stacks A[k], B[k] (k, dim, half_dim) of one
     space, as a (k, half_dim) array ascending along each row: one SVD call
-    over the stack of A^T J B (A may hold fewer orthonormal columns)."""
-    s = np.linalg.svd(np.swapaxes(A, 1, 2) @ space.form @ B, compute_uv=False)
+    over the stack of A^T J B (A may hold fewer orthonormal columns).  A
+    1 x 1 A^T J B = c has the one singular value |c|, without the SVD."""
+    C = np.swapaxes(A, 1, 2) @ space.form @ B
+    if C.shape[1:] == (1, 1):
+        return np.minimum(np.abs(C[:, 0]), 1.0)
+    s = np.linalg.svd(C, compute_uv=False)
     return np.sort(np.clip(s, 0.0, 1.0), axis=-1)
 
 

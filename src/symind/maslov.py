@@ -359,16 +359,23 @@ def _souriau(space: SymplecticSpace, frames: np.ndarray) -> np.ndarray:
 
 def _eig_w(space, F):
     """Eigenvalues (k, n) and eigenvectors (k, n, n) of W from the frames
-    F of both paths, (2, k, dim, half_dim)."""
+    F of both paths, (2, k, dim, half_dim).  For n = 1 the unitary W is its
+    own eigenvalue and its eigenvector is 1, without the batched eig."""
     W = _souriau(space, F[1]) @ _souriau(space, F[0]).conj()
+    if W.shape[-1] == 1:
+        return W[:, 0], np.ones_like(W)
     return np.linalg.eig(W)
 
 
 def _pair_branches(lam, vecs):
     """Reorder eigenpairs so that column j follows one branch along the samples:
     consecutive samples are matched by largest eigenvector overlap, greedily
-    where two eigenvectors prefer the same partner."""
+    where two eigenvectors prefer the same partner.  The matchings compose
+    into each sample's order by the doubling of ``sturm._chain``, here on
+    index maps.  With n = 1 there is nothing to pair."""
     n = lam.shape[1]
+    if n == 1:
+        return lam, vecs
     overlap = np.abs(np.swapaxes(vecs[:-1].conj(), 1, 2) @ vecs[1:])
     nxt = np.argmax(overlap, axis=2)
     for k in np.flatnonzero(np.any(np.sort(nxt, axis=1) != np.arange(n), axis=1)):
@@ -376,10 +383,13 @@ def _pair_branches(lam, vecs):
         for _ in range(n):
             i, j = np.unravel_index(np.argmax(o), o.shape)
             nxt[k, i], o[i], o[:, j] = j, -1.0, -1.0
-    order = np.empty(lam.shape, int)
-    order[0] = np.arange(n)
-    for k in range(len(nxt)):
-        order[k + 1] = nxt[k][order[k]]
+    # order[k + 1] = nxt[k][order[k]]: after the pass of stride s each map
+    # composes its last 2s matchings
+    s = 1
+    while s < len(nxt):
+        nxt[s:] = np.take_along_axis(nxt[s:], nxt[:-s], axis=1)
+        s *= 2
+    order = np.concatenate([np.arange(n)[None], nxt])
     return np.take_along_axis(lam, order, axis=1), np.take_along_axis(vecs, order[:, None, :], axis=2)
 
 

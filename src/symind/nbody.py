@@ -27,6 +27,7 @@ from .bessel import THRESHOLD_Q, THRESHOLD_TOL
 from .catalog import make_problem
 from .errors import (
     CollisionConfiguration,
+    ConfigInvalid,
     ConvergedToCollision,
     NotNormalized,
     SolverDiverged,
@@ -380,7 +381,9 @@ def seed_central_config(config_id: str, **kwargs) -> CentralConfig:
 
 def load_configuration(source) -> Configuration:
     """Mass/position input as JSON: {"masses": [...], "positions": [[...]],
-    "dimension": d}; accepts a mapping, a JSON string, or a file path."""
+    "dimension": d}; accepts a mapping, a JSON string, or a file path.
+    ConfigInvalid unless the positions are a (len(masses), d) array and
+    every mass and coordinate is finite."""
     if isinstance(source, dict):
         data = source
     else:
@@ -391,8 +394,17 @@ def load_configuration(source) -> Configuration:
             with open(text) as fh:
                 data = json.load(fh)
     d = int(data.get("dimension", 3))
-    system = MassSystem(tuple(float(m) for m in data["masses"]), d)
-    return Configuration(system, np.asarray(data["positions"], dtype=float))
+    try:
+        masses = np.asarray(data["masses"], dtype=float)
+        positions = np.asarray(data["positions"], dtype=float)
+    except ValueError as exc:          # ragged rows
+        raise ConfigInvalid(f"masses and positions must be numeric arrays: {exc}") from exc
+    if masses.ndim != 1 or positions.shape != (masses.size, d):
+        raise ConfigInvalid(f"{masses.size} masses in dimension {d} need positions of "
+                            f"shape ({masses.size}, {d}), got {positions.shape}")
+    if not (np.isfinite(masses).all() and np.isfinite(positions).all()):
+        raise ConfigInvalid("masses and positions must be finite")
+    return Configuration(MassSystem(tuple(masses.tolist()), d), positions)
 
 
 def asymptotic_problem(config_id: str = "two-body", motion=TOTAL_COLLISION,

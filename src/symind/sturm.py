@@ -138,7 +138,8 @@ def hamiltonians(problem: SLProblem, ts, s: np.ndarray | None = None) -> np.ndar
     result is (len(s), len(ts), 2n, 2n), one stack per value.
 
     P, Q and R are sampled in one call and P is inverted in one batch, for
-    every s at once; only c(s, .) is sampled per value.
+    every s at once; only c(s, .) is sampled per value.  A nonzero scalar P
+    takes plain division: np.linalg.inv costs a LAPACK call per 1 x 1 matrix.
     CoefficientSingular when P is not invertible at some node.
     """
     n = problem.dim
@@ -146,11 +147,14 @@ def hamiltonians(problem: SLProblem, ts, s: np.ndarray | None = None) -> np.ndar
     if s is not None and problem.c is not None:
         t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
         R = R + np.stack([_sample(lambda u: problem.c(sk, u), t, n) for sk in s.tolist()])
-    try:
-        Pinv = np.linalg.inv(P)
-    except np.linalg.LinAlgError as exc:
-        raise CoefficientSingular(
-            f"P(t) is singular for some t in [{min(ts)}, {max(ts)}]") from exc
+    if n == 1 and np.all(P != 0.0):
+        Pinv = 1.0 / P
+    else:
+        try:
+            Pinv = np.linalg.inv(P)
+        except np.linalg.LinAlgError as exc:
+            raise CoefficientSingular(
+                f"P(t) is singular for some t in [{min(ts)}, {max(ts)}]") from exc
     QT = np.swapaxes(Q, 1, 2)
     PinvQ = Pinv @ Q
     H = np.empty((() if s is None else np.shape(s)) + (len(P), 2 * n, 2 * n))
@@ -217,13 +221,24 @@ def _step_matrices(problem: SLProblem, s, t_from: np.ndarray, t_to: np.ndarray) 
 
 def _chain(E: np.ndarray) -> np.ndarray:
     """The products I, E[:, 0], E[:, 1] E[:, 0], ... of consecutive steps,
-    for every member of the leading axis."""
-    M = np.empty((E.shape[1] + 1,) + E.shape[:1] + E.shape[2:])
-    M[0] = np.eye(E.shape[-1])
-    out = list(M)                      # one product per step, written in place
-    for k, step in enumerate(np.swapaxes(E, 0, 1)):
-        np.matmul(step, out[k], out=out[k + 1])
-    return np.swapaxes(M, 0, 1)
+    for every member of the leading axis.
+
+    An inclusive prefix product by recursive doubling (Hillis & Steele,
+    CACM 29, 1986): after the pass of stride s each product holds its last
+    2s steps, so k steps take ceil(log2 k) batched matmuls instead of k.
+    The products are grouped differently from the left-to-right loop and
+    agree with it to roundoff.
+    """
+    K, k = E.shape[:2]
+    M = np.empty((K, k + 1) + E.shape[2:])
+    M[:, 0] = np.eye(E.shape[-1])
+    M[:, 1:] = E
+    P = M[:, 1:]
+    s = 1
+    while s < k:
+        P[:, s:] = P[:, s:] @ P[:, :-s]
+        s *= 2
+    return M
 
 
 class FundamentalSolution:

@@ -234,6 +234,25 @@ class TestNbodyCommand:
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "Infinite"
 
+    def test_positions_not_matching_masses_are_config_invalid(self, capsys, tmp_path):
+        # 3 masses, 2 positions: an untyped ValueError from a reshape before
+        cfg = tmp_path / "short.json"
+        cfg.write_text('{"masses": [1, 1, 1], "positions": [[0.6, 0], [-0.6, 0]], '
+                       '"dimension": 2}')
+        code, _, err = run_cli(["nbody", "--config", str(cfg)], capsys)
+        assert code == EXIT_ERROR
+        assert "ConfigInvalid" in err
+
+    def test_nan_coordinate_is_config_invalid(self, capsys, tmp_path):
+        # json accepts NaN, and NaN passes the collision check; the solver
+        # ended in a LinAlgError from lstsq before
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"masses": [1, 1], "positions": [[NaN, 0, 0], [-0.6, 0, 0]], '
+                       '"dimension": 3}')
+        code, _, err = run_cli(["nbody", "--config", str(cfg)], capsys)
+        assert code == EXIT_ERROR
+        assert "ConfigInvalid" in err
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
