@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LagrangianFrame, SymplecticSpace, lagrangian_from_columns
+from .core import LagrangianFrame, SymplecticSpace, line_frame
 from .errors import LimitPointNoCondition, OutOfRange, TailModelMissing
 
 THRESHOLD_Q = -0.25
@@ -225,18 +225,16 @@ def singular_end_space() -> SymplecticSpace:
 
 def friedrichs_trace_frame(r: float) -> LagrangianFrame:
     """Trace-space line of the Friedrichs condition in the limit-circle regime
-    -1/4 < q < 3/4: it forces the coefficient of t^(1/2-r) to vanish, i.e. it
-    is spanned by the trace coordinates of the principal solution
-    t^(1/2+r) = y1 + r y2.
+    -1/4 < q < 3/4: it forces the coefficient of t^(1/2-r) to vanish, so it
+    is the line of the principal solution t^(1/2+r) = y1 + r y2.  In the
+    coordinates (-[f, y1], [f, y2]) of ``sturm.singular_boundary_chart``,
+    f = a1 y1 + a2 y2 has the trace -(a2, a1): the line through (r, 1).
     """
     if not (0.0 < r < 1.0):
         raise LimitPointNoCondition(
             "Friedrichs selection requires the limit-circle regime r in (0, 1)")
-    from .sturm import darboux_basis  # local import to avoid a cycle
-    B = np.array([[0.0, -1.0], [1.0, 0.0]])   # [y_i, y_j](0+)
-    S = np.linalg.inv(darboux_basis(-np.linalg.inv(B)))
-    col = S @ (B @ principal_coefficients(r))
-    return lagrangian_from_columns(singular_end_space(), col.reshape(2, 1))
+    a = principal_coefficients(r)
+    return line_frame(singular_end_space(), [-a[1], -a[0]])
 
 
 def bessel_boundary_chart(problem):
@@ -247,7 +245,5 @@ def bessel_boundary_chart(problem):
     if q >= LIMIT_POINT_Q:
         raise LimitPointNoCondition("limit-point end: no boundary data at 0")
     r = r_of_q(q)
-    kernel = solution_data(r)
-    B = np.array([[0.0, -1.0], [1.0, 0.0]])
-    fr_left = principal_coefficients(r).reshape(2, 1) if 0.0 < r < 1.0 else None
-    return singular_boundary_chart(problem, kernel, B, friedrichs_left=fr_left)
+    friedrichs = friedrichs_trace_frame(r) if 0.0 < r < 1.0 else None
+    return singular_boundary_chart(problem, solution_data(r), friedrichs)

@@ -44,7 +44,8 @@ class CoefficientShapeInvalid(SymindError):
 
 
 class CoefficientSingular(SymindError):
-    """Leading coefficient P(t) is not invertible at t."""
+    """Leading coefficient P(t) is not invertible at t, or a coefficient is
+    not finite there."""
 
 
 class StepSizeUnderflow(SymindError):
@@ -63,6 +64,10 @@ class KernelBasisUnavailable(SymindError):
     """No analytic or numeric kernel basis for the maximal operator."""
 
 
+class UnknownBoundaryCondition(SymindError):
+    """Boundary condition is neither a known name nor a boundary-data frame."""
+
+
 class BracketLimitDiverges(SymindError):
     """Boundary bracket has no limit at the singular endpoint."""
 
@@ -73,7 +78,7 @@ class Inconclusive(SymindError):
 
 
 class SelectionFailed(SymindError):
-    """Gram matrix of kernel brackets is rank-deficient."""
+    """Kernel trace of a boundary chart is not Lagrangian."""
 
 
 # -- spectral-flow lab -------------------------------------------------------

@@ -44,17 +44,16 @@ from .core import (
     dirichlet_frame,
     direct_sum_frame,
     intersection_dim,
-    neumann_frame,
     stacked_graph_frames,
 )
 from .errors import (
     BCEliminationSingular,
+    CoefficientSingular,
     GridTooCoarse,
-    SpaceMismatch,
     TransversalityViolated,
 )
 from .maslov import LagrangianPath, maslov_clm
-from .sturm import SLProblem, monodromies
+from .sturm import SLProblem, monodromies, resolve_boundary_condition
 
 _TINY = 1e-300          # stands in for an exactly zero Sturm pivot
 
@@ -264,24 +263,6 @@ class DiscreteOperator:
                                   select_range=(0, k - 1))
 
 
-def _resolve_discrete_bc(problem, bc):
-    if isinstance(bc, str):
-        space = SymplecticSpace.standard(problem.dim)
-        named = {"dirichlet": dirichlet_frame, "neumann": neumann_frame}
-        if bc not in named:
-            raise ValueError(f"unknown named boundary condition {bc!r}")
-        f = named[bc](space)
-        return direct_sum_frame(f, f)
-    if isinstance(bc, LagrangianFrame):
-        expected = SymplecticSpace.minus_plus(problem.dim, problem.dim)
-        if bc.space != expected:
-            raise SpaceMismatch("boundary frame must live in the product boundary space")
-        return bc
-    if hasattr(bc, "kind"):
-        return _resolve_discrete_bc(problem, bc.kind if bc.frame is None else bc.frame)
-    raise ValueError(f"cannot interpret boundary condition {bc!r}")
-
-
 def discretize(problem: SLProblem, bc, N: int, s: float | None = None) -> DiscreteOperator:
     """Second-order central differences with midpoint P and Q sampling;
     boundary conditions are eliminated against the Lagrangian frame's kernel
@@ -293,8 +274,11 @@ def discretize(problem: SLProblem, bc, N: int, s: float | None = None) -> Discre
     c, d = problem.interval
     h = (d - c) / (N + 1)
     nodes = c + h * np.arange(N + 2)
-    P, Q, R = problem.coefficients(
-        np.concatenate([nodes, c + h * (np.arange(N + 1) + 0.5)]), s)
+    ts = np.concatenate([nodes, c + h * (np.arange(N + 1) + 0.5)])
+    P, Q, R = problem.coefficients(ts, s)
+    finite = np.all(np.isfinite(P) & np.isfinite(Q) & np.isfinite(R), axis=(1, 2))
+    if not finite.all():
+        raise CoefficientSingular(f"coefficients are not finite at t={float(ts[~finite].min())!r}")
     Pm = P[N + 2:] / h                                   # P / h at the midpoints
     Sm = Q[N + 2:] + np.swapaxes(Q[N + 2:], 1, 2)        # Q + Q^T at the midpoints
     w = np.ones(N + 2)
@@ -311,7 +295,7 @@ def discretize(problem: SLProblem, bc, N: int, s: float | None = None) -> Discre
 
     # boundary data beta(y) = (p_a, x_0, p_b, x_{N+1}) with one-sided
     # quasi-derivatives; membership in the frame is F^T Jprod beta = 0
-    frame = _resolve_discrete_bc(problem, bc)
+    frame = resolve_boundary_condition(problem, bc)
     Pa, Qa, Pb, Qb = P[0] / h, Q[0], P[N + 1] / h, Q[N + 1]
     Cmat = frame.frame.T @ frame.space.form   # (2n) x (4n), annihilates the frame
 
@@ -388,7 +372,7 @@ def spectral_flow(family, s_interval, window_gap=None,
 def discretized_family(problem: SLProblem, bc, N: int):
     """s -> DiscreteOperator for a problem with parameter-dependent zero-order
     term and/or parameter-dependent boundary condition."""
-    bc_fun = bc if callable(bc) and not isinstance(bc, LagrangianFrame) else (lambda s: bc)
+    bc_fun = bc if callable(bc) else (lambda s: bc)
 
     def family(s):
         return discretize(problem, bc_fun(s), N, s=s)
@@ -424,10 +408,10 @@ def _boundary_path(problem: SLProblem, bc, s_interval) -> LagrangianPath:
     """s -> the product-space frame of bc(s), 64 initial samples; a ``bc``
     that is not a callable is resolved once and gives a constant path."""
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
-    if callable(bc) and not isinstance(bc, LagrangianFrame):
-        return LagrangianPath.pointwise(prod, lambda s: _resolve_discrete_bc(problem, bc(s)),
+    if callable(bc):
+        return LagrangianPath.pointwise(prod, lambda s: resolve_boundary_condition(problem, bc(s)),
                                         *s_interval, samples=64)
-    F = _resolve_discrete_bc(problem, bc).frame
+    F = resolve_boundary_condition(problem, bc).frame
     return LagrangianPath(prod, lambda ss: np.broadcast_to(F, (len(ss),) + F.shape),
                           *s_interval, samples=64)
 

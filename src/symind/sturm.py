@@ -32,6 +32,7 @@ from .core import (
     dirichlet_frame,
     direct_sum_frame,
     graph_lagrangian,
+    intersection_dim,
     lagrangian_from_columns,
     neumann_frame,
     stacked_lagrangian_frames,
@@ -47,7 +48,7 @@ from .errors import (
     SelectionFailed,
     SpaceMismatch,
     StepSizeUnderflow,
-    SymindError,
+    UnknownBoundaryCondition,
 )
 from .maslov import LagrangianPath, maslov_clm, triple_index
 from .report import INFINITE, UNDETERMINED, IndexReport
@@ -452,11 +453,18 @@ def monodromies(problem: SLProblem, span: tuple, s, tol: float = MAGNUS_TOL,
     return FundamentalSolution._integrate(problem, c, d, s, tol, drift_budget)[1][:, -1]
 
 
-def boundary_bracket(f_data, g_data) -> float:
-    """[f, g](t) = <f^[1], g> - <f, g^[1]> from (value, quasi-derivative) pairs."""
+def _bracket_terms(f_data, g_data):
+    """The terms <f^[1], g> and <f, g^[1]> of [f, g] from (value,
+    quasi-derivative) pairs."""
     fv, fq = (np.atleast_1d(np.asarray(v, float)) for v in f_data)
     gv, gq = (np.atleast_1d(np.asarray(v, float)) for v in g_data)
-    return float(fq @ gv - fv @ gq)
+    return float(fq @ gv), float(fv @ gq)
+
+
+def boundary_bracket(f_data, g_data) -> float:
+    """[f, g](t) = <f^[1], g> - <f, g^[1]> from (value, quasi-derivative) pairs."""
+    first, second = _bracket_terms(f_data, g_data)
+    return first - second
 
 
 # -- conjugate points ---------------------------------------------------------
@@ -555,106 +563,7 @@ def morse_index_dirichlet(problem: SLProblem,
         diagnostics=diagnostics)
 
 
-# -- boundary charts and the trace map ----------------------------------------
-
-
-def darboux_basis(K: np.ndarray) -> np.ndarray:
-    """Columns T with T^T K T equal to the standard form matrix, for a
-    nonsingular skew K.  Symplectic Gram-Schmidt with full pivoting;
-    SelectionFailed once the largest pairing left is at most 1e-10 of the
-    form's scale."""
-    m = K.shape[0]
-    if m % 2:
-        raise SelectionFailed("odd-dimensional skew form cannot be normalized")
-    scale = max(1.0, float(np.max(np.abs(K))))
-    avail = [np.eye(m)[:, i] for i in range(m)]
-    ps, qs = [], []
-
-    def pair(u, v):
-        return float(u @ K @ v)
-
-    while 2 * len(ps) < m:
-        best, bi, bj = 0.0, -1, -1
-        for i in range(len(avail)):
-            for j in range(i + 1, len(avail)):
-                val = abs(pair(avail[i], avail[j]))
-                if val > best:
-                    best, bi, bj = val, i, j
-        if best <= 1e-10 * scale:
-            raise SelectionFailed("skew form is degenerate on the working space")
-        u = avail[bi]
-        v = avail[bj] / pair(u, avail[bj])
-        ps.append(u)
-        qs.append(v)
-        rest = []
-        for k, w in enumerate(avail):
-            if k in (bi, bj):
-                continue
-            w2 = w - pair(w, v) * u + pair(w, u) * v
-            if np.linalg.norm(w2) > 1e-12:
-                rest.append(w2)
-        avail = rest
-    T = np.column_stack(ps + qs)
-    half = m // 2
-    target = np.zeros((m, m))
-    target[:half, half:] = np.eye(half)
-    target[half:, :half] = -np.eye(half)
-    if np.max(np.abs(T.T @ K @ T - target)) > 1e-8 * scale:
-        raise SelectionFailed("symplectic normalization did not converge")
-    return T
-
-
-@dataclass
-class BoundaryChart:
-    """Coordinates on the boundary-data space R^(2k-2n) (+) R^(2n) carrying
-    the product form -Omega (+) Omega.
-
-    ``kernel_trace`` is the trace image of the solution space of l x = 0,
-    ``friedrichs`` the Lagrangian of the Friedrichs extension's domain, and
-    ``a_transform`` the normalization applied to raw bracket coordinates at
-    the singular/left end so that the left block carries exactly -Omega.
-    """
-
-    problem: SLProblem
-    space: SymplecticSpace
-    kernel_trace: LagrangianFrame
-    friedrichs: LagrangianFrame
-    a_block: int
-    b_block: int
-    a_transform: np.ndarray
-    kernel_data: object = None      # list of t -> (value, quasi-derivative)
-
-    def dirichlet(self) -> LagrangianFrame:
-        n = self.b_block
-        return direct_sum_frame(
-            dirichlet_frame(SymplecticSpace.standard(self.a_block)),
-            dirichlet_frame(SymplecticSpace.standard(n)))
-
-    def neumann(self) -> LagrangianFrame:
-        return direct_sum_frame(
-            neumann_frame(SymplecticSpace.standard(self.a_block)),
-            neumann_frame(SymplecticSpace.standard(self.b_block)))
-
-    def mixed(self, left: LagrangianFrame | np.ndarray, right: LagrangianFrame | np.ndarray) -> LagrangianFrame:
-        return direct_sum_frame(left, right)
-
-    def resolve(self, bc) -> LagrangianFrame:
-        if isinstance(bc, LagrangianFrame):
-            if bc.space != self.space:
-                raise SpaceMismatch("boundary frame not in the chart's space")
-            return bc
-        kind = bc.kind if hasattr(bc, "kind") else str(bc)
-        if kind == "dirichlet":
-            return self.dirichlet()
-        if kind == "neumann":
-            return self.neumann()
-        if kind in ("friedrichs", "friedrichs_singular"):
-            if self.friedrichs is None:
-                raise KernelBasisUnavailable("chart has no Friedrichs frame")
-            return self.friedrichs
-        if kind == "general":
-            return self.resolve(bc.frame)
-        raise SymindError(f"cannot resolve boundary condition {bc!r}")
+# -- boundary data: charts, conditions and the trace map ------------------------
 
 
 @dataclass
@@ -666,78 +575,98 @@ class BoundaryCondition:
     frame: LagrangianFrame | None = None
 
 
-def regular_boundary_chart(problem: SLProblem,
-                           fs: FundamentalSolution | None = None) -> BoundaryChart:
-    """Chart for a problem regular at both ends: boundary data are the raw
-    endpoint evaluations (x^[1](a), x(a), x^[1](b), x(b))."""
-    n = problem.dim
+@dataclass
+class BoundaryChart:
+    """Coordinates on the boundary-data space R^(2n) (+) R^(2n) of a problem
+    of dimension n, which carries the product form -Omega (+) Omega.
+
+    A function f of the maximal domain has the right coordinates
+    (f^[1](b), f(b)).  Its left coordinates are (f^[1](a), f(a)) at a regular
+    end, and (-[f, y1](a+), [f, y2](a+)) at a limit-circle end whose kernel
+    pair is normalized to [y1, y2](a+) = -1.  At either end [f, g] is Omega
+    of the coordinates, so the Green form [f, g](b) - [f, g](a+) is the
+    product form.
+
+    ``kernel_trace`` is the trace image of the solution space of l x = 0,
+    ``friedrichs`` the Lagrangian of the Friedrichs extension's domain (None
+    when the chart has none) and ``kernel_data`` the kernel pair at a
+    limit-circle end.  The kernel trace must be Lagrangian, which pins every
+    sign convention of the coordinates.
+    """
+
+    problem: SLProblem
+    kernel_trace: LagrangianFrame
+    friedrichs: LagrangianFrame | None
+    kernel_data: object = None      # [y1, y2], each t -> (value, quasi-derivative)
+
+    def __post_init__(self):
+        res = self.kernel_trace.isotropy_residual()
+        if res > 1e-6:
+            raise SelectionFailed(f"kernel trace is not Lagrangian (residual {res:.2e})")
+
+    @property
+    def space(self) -> SymplecticSpace:
+        return self.kernel_trace.space
+
+
+def resolve_boundary_condition(problem: SLProblem, bc,
+                               chart: BoundaryChart | None = None) -> LagrangianFrame:
+    """The frame of a boundary condition in the boundary-data space
+    R^(2n) (+) R^(2n), the one resolver of every route that takes one.
+
+    ``bc`` is a name, a BoundaryCondition or a frame of that space.  The
+    names dirichlet and neumann put those data at both ends; friedrichs
+    resolves only in a chart that has a Friedrichs frame, and raises
+    KernelBasisUnavailable otherwise.  SpaceMismatch for a frame of another
+    space, UnknownBoundaryCondition for any other ``bc``.
+    """
+    if isinstance(bc, BoundaryCondition):
+        bc = bc.frame if bc.kind == "general" else bc.kind
+    if isinstance(bc, LagrangianFrame):
+        if bc.space != SymplecticSpace.minus_plus(problem.dim, problem.dim):
+            raise SpaceMismatch("boundary frame must live in the product boundary space")
+        return bc
+    name = bc if isinstance(bc, str) else None
+    if name in ("dirichlet", "neumann"):
+        end = (dirichlet_frame if name == "dirichlet" else neumann_frame)(problem.space)
+        return direct_sum_frame(end, end)
+    if name == "friedrichs":
+        if chart is None or chart.friedrichs is None:
+            raise KernelBasisUnavailable("the Friedrichs condition needs a chart with its frame")
+        return chart.friedrichs
+    raise UnknownBoundaryCondition(f"cannot resolve boundary condition {bc!r}")
+
+
+def regular_boundary_chart(problem: SLProblem) -> BoundaryChart:
+    """Chart of a problem regular at both ends: the kernel trace is the graph
+    of the fundamental solution from a to b, and the Friedrichs condition is
+    Dirichlet data at both ends."""
     a, b = problem.interval
-    if fs is None:
-        fs = fundamental_solution(problem, a, (a, b))
-    M = fs.symplectic(b)
-    V = graph_lagrangian(M)
-    F = direct_sum_frame(dirichlet_frame(problem.space), dirichlet_frame(problem.space))
-    chart = BoundaryChart(problem, V.space, V, F, n, n, np.eye(2 * n))
-    _assert_chart_consistency(chart)
-    return chart
-
-
-def _assert_chart_consistency(chart: BoundaryChart):
-    # the kernel trace must be Lagrangian for the product form; this pins all
-    # sign conventions of the trace coordinates
-    res = chart.kernel_trace.isotropy_residual()
-    if res > 1e-6:
-        raise SelectionFailed(f"kernel trace is not Lagrangian (residual {res:.2e})")
+    V = graph_lagrangian(fundamental_solution(problem, a, (a, b)).symplectic(b))
+    return BoundaryChart(problem, V, resolve_boundary_condition(problem, "dirichlet"))
 
 
 def singular_boundary_chart(problem: SLProblem, kernel_data,
-                            bracket_matrix: np.ndarray,
-                            friedrichs_left=None,
-                            regular_end: float | None = None) -> BoundaryChart:
-    """Chart for a problem with a limit-circle left end from an explicit
-    kernel basis.
+                            friedrichs_left: LagrangianFrame | None = None) -> BoundaryChart:
+    """Chart of a scalar problem with a limit-circle left end, from a kernel
+    pair y1, y2 (callables t -> (value, quasi-derivative)) with
+    [y1, y2](a+) = -1.
 
-    ``kernel_data``: list of callables t -> (value, quasi-derivative), one per
-    kernel function y_i; ``bracket_matrix``: B_ij = [y_i, y_j](a+).  Raw left
-    coordinates c_i(f) = -[f, y_i](a+) satisfy [f, g](a+) = -c^T B^{-1} d, so
-    the left block carries -Omega exactly in the normalized coordinates
-    S c with S = T^{-1}, T^T (-B^{-1}) T = J_std.
-
-    ``friedrichs_left``: kernel-coefficient columns (coefficients in the
-    y-basis) spanning the Friedrichs condition at the singular end; when
-    omitted the chart has no Friedrichs frame and index corrections that need
-    it are unavailable.
+    f = c1 y1 + c2 y2 has the left coordinates (-[f, y1], [f, y2]) =
+    (-c2, -c1), so those of y1 and y2 are the columns of [[0, -1], [-1, 0]].
+    ``friedrichs_left`` is the Friedrichs line in these coordinates
+    (``bessel.friedrichs_trace_frame``); without it the chart has no
+    Friedrichs frame and the index corrections that need it are unavailable.
     """
-    n = problem.dim
-    b = problem.interval[1] if regular_end is None else regular_end
-    B = np.asarray(bracket_matrix, dtype=float)
-    m = B.shape[0]
-    if np.linalg.matrix_rank(B) < m:
-        raise SelectionFailed("bracket Gram matrix of the kernel basis is singular")
-    T = darboux_basis(-np.linalg.inv(B))
-    S = np.linalg.inv(T)
-
-    cols = []
-    for i, data in enumerate(kernel_data):
-        c_raw = B @ np.eye(m)[:, i]          # coordinates of y_i itself
-        val, quasi = data(b)
-        cols.append(np.concatenate([S @ c_raw, np.atleast_1d(quasi), np.atleast_1d(val)]))
-    prod = SymplecticSpace.minus_plus(m // 2, n)
-    V = lagrangian_from_columns(prod, np.column_stack(cols))
-
+    b = problem.interval[1]
+    right = [np.concatenate([np.atleast_1d(quasi), np.atleast_1d(val)])
+             for val, quasi in (y(b) for y in kernel_data)]
+    V = lagrangian_from_columns(SymplecticSpace.minus_plus(problem.dim, problem.dim),
+                                np.vstack([[[0.0, -1.0], [-1.0, 0.0]], np.column_stack(right)]))
     F = None
     if friedrichs_left is not None:
-        alpha = np.atleast_2d(np.asarray(friedrichs_left, dtype=float))
-        if alpha.shape[0] != m:
-            alpha = alpha.T
-        left_cols = S @ (B @ alpha)
-        F = direct_sum_frame(
-            lagrangian_from_columns(SymplecticSpace.standard(m // 2), left_cols),
-            dirichlet_frame(SymplecticSpace.standard(n)))
-
-    chart = BoundaryChart(problem, prod, V, F, m // 2, n, S, kernel_data)
-    _assert_chart_consistency(chart)
-    return chart
+        F = direct_sum_frame(friedrichs_left, dirichlet_frame(problem.space))
+    return BoundaryChart(problem, V, F, kernel_data)
 
 
 def boundary_chart(problem: SLProblem) -> BoundaryChart:
@@ -754,13 +683,18 @@ def boundary_chart(problem: SLProblem) -> BoundaryChart:
 
 
 def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) -> np.ndarray:
-    """Boundary-data vector of a maximal-domain function.
+    """Boundary-data vector of a maximal-domain function, in the coordinates
+    of ``BoundaryChart``.
 
     ``f_data``: callable t -> (value, quasi-derivative).  For a regular
-    problem this reduces to (x^[1](a), x(a), x^[1](b), x(b)).  At a
-    limit-circle end the left block is the normalized bracket vector
-    -[f, y_i](a+), limits taken along a geometric sequence with a Cauchy
-    test.  At a limit-point end only the regular-end block is produced.
+    problem this is (x^[1](a), x(a), x^[1](b), x(b)).  At a limit-circle end
+    the left block (-[f, y1](a+), [f, y2](a+)) is read along t_k = a + base
+    4^-k, k = 0..7.  Consecutive readings pass the Cauchy test when they
+    agree to 1e-6 relative beyond the roundoff 8 eps (|<f^[1], y>| +
+    |<f, y^[1]>|) of the bracket's two terms, which cancel and, for a kernel
+    function, grow like t^(-2r).  The limit is the first reading from which
+    every later pair passes; BracketLimitDiverges when the last pair fails.
+    At a limit-point end only the regular-end block is produced.
     """
     a, b = problem.interval
     side = problem.singular_end()
@@ -778,20 +712,22 @@ def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) ->
 
     if chart is None:
         chart = boundary_chart(problem)
-    kernel = chart.kernel_data
-    if kernel is None:
+    if chart.kernel_data is None:
         raise KernelBasisUnavailable("no kernel basis for the singular-end block")
 
     base = min(1e-3, 0.1 * (b - a))
     seq = [a + base * 4.0 ** (-k) for k in range(8)]
-    raw = []
-    for y in kernel:
-        vals = [-boundary_bracket(f_data(t), y(t)) for t in seq]
-        if abs(vals[-1] - vals[-2]) > 1e-6 * max(1.0, abs(vals[-1])):
+    left = []
+    for sign, y in zip((-1.0, 1.0), chart.kernel_data):
+        terms = np.array([_bracket_terms(f_data(t), y(t)) for t in seq])
+        vals = sign * (terms[:, 0] - terms[:, 1])
+        noise = 8.0 * _EPS * np.sum(np.abs(terms), axis=1)
+        passed = np.abs(np.diff(vals)) <= (1e-6 * np.maximum(1.0, np.abs(vals[1:]))
+                                           + noise[:-1] + noise[1:])
+        if not passed[-1]:
             raise BracketLimitDiverges(
-                f"bracket limit fails the Cauchy test (last values {vals[-2:]})")
-        raw.append(vals[-1])
-    left = chart.a_transform @ np.array(raw)
+                f"bracket limit fails the Cauchy test (last values {vals[-2:].tolist()})")
+        left.append(vals[0 if passed.all() else np.flatnonzero(~passed)[-1] + 1])
     return np.concatenate([left, b_block()])
 
 
@@ -801,16 +737,28 @@ def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) ->
 def morse_index_general(problem: SLProblem, bc,
                         delta_schedule=DELTA_SCHEDULE,
                         chart: BoundaryChart | None = None) -> IndexReport:
-    """Morse index for a general self-adjoint boundary condition: the
-    Friedrichs/Dirichlet index plus the triple-index correction
-    iota(kernel trace, condition, Friedrichs) in the boundary-data space."""
+    """Morse index under a general self-adjoint boundary condition Lambda,
+    by the paper's Morse Index Theorem in the chart's boundary-data space.
+
+    The triple index iota(K, Lambda_F, Lambda) of the kernel trace K, the
+    Friedrichs frame and Lambda, with iota as in ``maslov.triple_index``
+    (Cappell, Lee & Miller, CPAM 47, 1994), is the change of Morse index
+    plus nullity from the Friedrichs extension (the Dirichlet one for a
+    regular problem) to L_Lambda; the nullity of L_Lambda is dim(K cap
+    Lambda).  So the Morse index is the Friedrichs index plus the
+    correction iota(K, Lambda_F, Lambda) + dim(K cap Lambda_F) - dim(K cap
+    Lambda).  The order of the last two arguments matters:
+    iota(K, Lambda, Lambda_F) counts the line mirrored across Lambda_F.
+    ``bc`` is anything ``resolve_boundary_condition`` takes.
+    """
     if chart is None:
         chart = boundary_chart(problem)
     if chart.friedrichs is None:
         raise KernelBasisUnavailable("no Friedrichs frame available in this chart")
-    Lam = chart.resolve(bc)
+    Lam = resolve_boundary_condition(problem, bc, chart)
     base = morse_index_dirichlet(problem, delta_schedule)
-    correction = triple_index(chart.kernel_trace, Lam, chart.friedrichs)
+    K, F = chart.kernel_trace, chart.friedrichs
+    correction = triple_index(K, F, Lam) + intersection_dim(K, F) - intersection_dim(K, Lam)
 
     if base.verdict == INFINITE:
         verdict, reason = INFINITE, None

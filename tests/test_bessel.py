@@ -165,19 +165,25 @@ class TestClassifyMatchesMorseVerdict:
 
 class TestFriedrichsFrame:
     def test_principal_solution_is_selected(self):
-        # the frame must contain the trace line of t^(1/2+r) = y1 + r y2 and
-        # exclude t^(1/2-r) = y1 - r y2
-        from symind.sturm import darboux_basis
-        for r in (0.5, 0.2, 0.9):
+        # the trace of t^(1/2+r) = y1 + r y2 lies on the line, and the trace
+        # of t^(1/2-r) = y1 - r y2 does not
+        from symind.catalog import make_problem
+        from symind.sturm import boundary_chart, trace_map
+
+        def power(e):
+            return lambda t: (t ** e, e * t ** (e - 1.0))
+
+        for r in (0.2, 0.5, 0.9):
+            prob = make_problem("bessel", q=r * r - 0.25)
+            chart = boundary_chart(prob)
             F = friedrichs_trace_frame(r)
-            B = np.array([[0.0, -1.0], [1.0, 0.0]])
-            S = np.linalg.inv(darboux_basis(-np.linalg.inv(B)))
-            passing = S @ (B @ np.array([1.0, r]))
-            failing = S @ (B @ np.array([1.0, -r]))
+            assert np.array_equal(chart.friedrichs.frame[:2, :1], F.frame)
+            passing = trace_map(prob, power(0.5 + r), chart=chart)[:2]
+            failing = trace_map(prob, power(0.5 - r), chart=chart)[:2]
             proj = F.frame @ (F.frame.T @ passing)
-            assert np.linalg.norm(proj - passing) < 1e-12
+            assert np.linalg.norm(proj - passing) < 1e-9 * np.linalg.norm(passing)
             proj_bad = F.frame @ (F.frame.T @ failing)
-            assert np.linalg.norm(proj_bad - failing) > 1e-3
+            assert np.linalg.norm(proj_bad - failing) > 1e-3 * np.linalg.norm(failing)
 
     def test_limit_point_has_no_condition(self):
         with pytest.raises(LimitPointNoCondition):

@@ -29,6 +29,7 @@ from symind.core import (
 )
 from symind.errors import (
     BCEliminationSingular,
+    CoefficientSingular,
     DriftBudgetExceeded,
     GridTooCoarse,
     StepSizeUnderflow,
@@ -37,7 +38,6 @@ from symind.errors import (
 from symind.spectral import (
     DiscreteOperator,
     EigenTrace,
-    _resolve_discrete_bc,
     discretize,
     discretize_neumann_ghost,
     discretized_family,
@@ -47,7 +47,13 @@ from symind.spectral import (
     spectral_flow,
     verify_sf_formula,
 )
-from symind.sturm import FundamentalSolution, SLProblem, fundamental_solution, monodromies
+from symind.sturm import (
+    FundamentalSolution,
+    SLProblem,
+    fundamental_solution,
+    monodromies,
+    resolve_boundary_condition,
+)
 
 S1 = SymplecticSpace.standard(1)
 
@@ -96,7 +102,7 @@ def dense_reference(problem, bc, N, s=None):
         F[sl, sl] += w * h * problem.coefficients([nodes[i]], s)[2][0]
         Mass[sl, sl] = w * h * np.eye(n)
 
-    frame = _resolve_discrete_bc(problem, bc)
+    frame = resolve_boundary_condition(problem, bc)
     Pa, Qa, _ = (X[0] for X in problem.coefficients([nodes[0]], s))
     Pb, Qb, _ = (X[0] for X in problem.coefficients([nodes[-1]], s))
     sl0, sl1 = slice(0, n), slice(n, 2 * n)
@@ -151,6 +157,12 @@ class TestDiscretize:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             discretize(make_problem("free"), "dirichlet", 8)
+
+    def test_non_finite_coefficients(self):
+        # the catalog Bessel problem keeps its singular end t = 0, where
+        # q / t^2 is infinite; the bands would hold NaN
+        with np.errstate(divide="ignore"), pytest.raises(CoefficientSingular, match=r"t=0\.0\b"):
+            discretize(make_problem("bessel", q=0.2), "dirichlet", 512)
 
     def test_free_dirichlet_second_difference_spectrum(self):
         # eigenvalues (2/h^2)(1 - cos(k pi h)) -> (k pi)^2 with O(N^-2) error

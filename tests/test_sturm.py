@@ -11,15 +11,24 @@ import pytest
 
 from symind.bessel import singular_solutions, solution_data
 from symind.catalog import load_problem_csv, make_problem
-from symind.core import SymplecticSpace, dirichlet_frame, neumann_frame
+from symind.core import (
+    SymplecticSpace,
+    dirichlet_frame,
+    direct_sum_frame,
+    line_frame,
+    neumann_frame,
+)
 from symind.errors import (
     BracketLimitDiverges,
     CoefficientShapeInvalid,
     CoefficientSingular,
     KernelBasisUnavailable,
     ScheduleTooShort,
+    SpaceMismatch,
+    UnknownBoundaryCondition,
 )
 from symind.report import INFINITE
+from symind.spectral import discretize
 from symind.sturm import (
     LIMIT_CIRCLE,
     LIMIT_POINT,
@@ -29,12 +38,12 @@ from symind.sturm import (
     boundary_bracket,
     boundary_chart,
     conjugate_points,
-    darboux_basis,
     endpoint_classify,
     fundamental_solution,
     hamiltonians,
     morse_index_dirichlet,
     morse_index_general,
+    resolve_boundary_condition,
     trace_map,
 )
 
@@ -337,20 +346,6 @@ class TestEndpointClassify:
         assert endpoint_classify(prob, "a") == LIMIT_CIRCLE
 
 
-class TestDarboux:
-    @pytest.mark.parametrize("m,seed", [(2, 0), (4, 1), (6, 2)])
-    def test_normalizes_random_skew(self, m, seed):
-        rng = np.random.default_rng(seed)
-        K = rng.standard_normal((m, m))
-        K = K - K.T
-        T = darboux_basis(K)
-        half = m // 2
-        target = np.zeros((m, m))
-        target[:half, half:] = np.eye(half)
-        target[half:, :half] = -np.eye(half)
-        assert np.allclose(T.T @ K @ T, target, atol=1e-10)
-
-
 class TestTraceMap:
     def test_regular_reduction(self):
         prob = make_problem("harmonic", omega=1.0, interval=(0.0, 1.5))
@@ -382,6 +377,24 @@ class TestTraceMap:
         vec = trace_map(prob, f_data)
         assert vec.shape == (2,)
         assert np.allclose(vec, [2.0, 1.0])
+
+    @pytest.mark.parametrize("q", [0.2, 0.4, 0.5, 0.7])
+    def test_exact_kernel_functions(self, q):
+        # f = alpha t^(1/2-r) + beta t^(1/2+r) has constant brackets, and
+        # its trace is (r (alpha - beta), -(alpha + beta), f'(1), f(1)); the
+        # bracket's two terms grow like t^(-2r) and cancel to roundoff
+        r = math.sqrt(q + 0.25)
+        prob = make_problem("bessel", q=q)
+        chart = boundary_chart(prob)
+        for alpha, beta in np.random.default_rng(4).standard_normal((20, 2)):
+            def f_data(t):
+                return (alpha * t ** (0.5 - r) + beta * t ** (0.5 + r),
+                        alpha * (0.5 - r) * t ** (-0.5 - r) + beta * (0.5 + r) * t ** (r - 0.5))
+
+            expected = [r * (alpha - beta), -(alpha + beta),
+                        alpha * (0.5 - r) + beta * (0.5 + r), alpha + beta]
+            assert np.allclose(trace_map(prob, f_data, chart=chart), expected,
+                               rtol=1e-9, atol=1e-9)
 
     def test_divergent_bracket_detected(self):
         prob = make_problem("bessel", q=0.0)
@@ -420,7 +433,7 @@ class TestMorseIndexGeneral:
         # u'(0) = 0, u(pi) = 0: eigenvalues (k+1/2)^2 - 4: two negative
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
         chart = boundary_chart(prob)
-        lam = chart.mixed(neumann_frame(S1), dirichlet_frame(S1))
+        lam = direct_sum_frame(neumann_frame(S1), dirichlet_frame(S1))
         rep = morse_index_general(prob, lam, chart=chart)
         assert rep.verdict == 2
 
@@ -431,19 +444,142 @@ class TestMorseIndexGeneral:
         assert rep.diagnostics["triple_index_correction"] == 0
 
     def test_bessel_rotating_condition_corrections(self):
-        # rotating the singular-end line through the limit-circle disc; the
-        # correction is the triple index of the explicit boundary Lagrangians,
-        # and for -u'' it must be 1 on the diving side of the Friedrichs line,
-        # 0 on the other (one negative eigenvalue appears/disappears)
+        # rotating the singular-end line off the Friedrichs line: clockwise
+        # in the chart's (-[f, y1], [f, y2]) plane gains the negative
+        # eigenvalue, counterclockwise does not.  Oracle:
+        # the line through (r (alpha - beta), -(alpha + beta)) holds the data
+        # of the lambda = 0 solution alpha t^(1/2-r) + beta t^(1/2+r), which
+        # has a zero in (0, 1), hence one negative eigenvalue, exactly when
+        # 0 < -alpha/beta < 1
         from symind.core import rotation_matrix
-        prob = make_problem("bessel", q=0.0)
+        r = 0.5
+        prob = make_problem("bessel", q=r * r - 0.25)
         chart = boundary_chart(prob)
         F_left = chart.friedrichs.frame[:2, :1]
         left_space = SymplecticSpace.minus_plus(1, 0)
-        values = {}
-        for theta in (-0.3, 0.3):
+        for theta, expected in ((-0.3, 1), (0.3, 0)):
             col = rotation_matrix(left_space, theta) @ F_left
-            lam = chart.mixed(col, dirichlet_frame(S1).frame)
-            rep = morse_index_general(prob, lam, chart=chart)
-            values[theta] = rep.verdict
-        assert sorted(values.values()) == [0, 1]
+            alpha = 0.5 * (col[0, 0] / r - col[1, 0])
+            beta = -0.5 * (col[0, 0] / r + col[1, 0])
+            assert int(0.0 < -alpha / beta < 1.0) == expected
+            lam = direct_sum_frame(col, dirichlet_frame(S1).frame)
+            assert morse_index_general(prob, lam, chart=chart).verdict == expected
+
+    @pytest.mark.parametrize("q", [-0.2, 0.0, 0.2, 0.5, 0.7])
+    def test_bessel_lines_match_zero_count(self, q):
+        # the oracle of the test above on random lines (r(alpha - beta),
+        # -(alpha + beta)), Dirichlet data at 1; draws whose lambda = 0
+        # solution nearly vanishes at 1 (a zero eigenvalue) are redrawn
+        r = math.sqrt(q + 0.25)
+        prob = make_problem("bessel", q=q)
+        chart = boundary_chart(prob)
+        rng = np.random.default_rng(int(1000 * (q + 1)))
+        checked = 0
+        while checked < 12:
+            alpha, beta = rng.standard_normal(2)
+            if abs(alpha + beta) < 0.1 * (abs(alpha) + abs(beta)):
+                continue
+            left = line_frame(SymplecticSpace.minus_plus(1, 0),
+                              [r * (alpha - beta), -(alpha + beta)])
+            rep = morse_index_general(prob, direct_sum_frame(left, dirichlet_frame(S1)),
+                                      chart=chart)
+            assert rep.verdict == int(0.0 < -alpha / beta < 1.0), (alpha, beta)
+            checked += 1
+
+    @pytest.mark.parametrize("q", [-0.2, 0.0, 0.3, 0.5])
+    def test_bessel_neumann_line(self, q):
+        # "neumann" puts f proportional to y1 at 0 and f'(1) = 0.  With
+        # f = y1 g and y1 > 0 the form is int y1^2 g'^2 + y1 y1'(1) g(1)^2,
+        # and y1(1) y1'(1) = 1/2, so the Morse index is 0
+        rep = morse_index_general(make_problem("bessel", q=q), BoundaryCondition("neumann"))
+        assert rep.verdict == 0
+
+    @pytest.mark.parametrize("theta,expected", [(0.3, 1), (-0.3, 2), (1.0, 1), (-1.0, 2)])
+    def test_robin_line_counts(self, theta, expected):
+        # harmonic omega = 1.5 on (0, pi), left line (cos theta, sin theta) in
+        # (x^[1](0), x(0)), Dirichlet data at pi; oracles: the zeros in
+        # (0, pi) of the lambda = 0 solution with x(0) = sin theta,
+        # x'(0) = cos theta, and the discretized count
+        omega = 1.5
+        prob = make_problem("harmonic", omega=omega, interval=(0.0, math.pi))
+        lam = direct_sum_frame(line_frame(S1, [math.cos(theta), math.sin(theta)]),
+                               dirichlet_frame(S1))
+        t = np.linspace(0.0, math.pi, 20001)[1:-1]
+        x = math.sin(theta) * np.cos(omega * t) + math.cos(theta) * np.sin(omega * t) / omega
+        assert int(np.sum(np.sign(x[1:]) != np.sign(x[:-1]))) == expected
+        assert discretize(prob, lam, 2048).morse_count() == expected
+        assert morse_index_general(prob, lam).verdict == expected
+
+    def test_random_robin_lines_match_discretize(self):
+        # two-end Robin lines on harmonic problems, against the discretized
+        # count.  Draws with an eigenvalue within 0.05 of zero are redrawn, and
+        # so are lines within 0.1 of Dirichlet data, where an eigenvalue dives
+        # below what N = 2048 resolves
+        rng = np.random.default_rng(16)
+        checked = 0
+        while checked < 60:
+            omega = rng.uniform(0.5, 3.5)
+            ta, tb = rng.uniform(0.0, math.pi, 2)
+            if min(abs(math.sin(ta)), abs(math.sin(tb))) < 0.1:
+                continue
+            prob = make_problem("harmonic", omega=omega, interval=(0.0, math.pi))
+            lam = direct_sum_frame(line_frame(S1, [math.cos(ta), math.sin(ta)]),
+                                   line_frame(S1, [math.cos(tb), math.sin(tb)]))
+            op = discretize(prob, lam, 2048)
+            if np.min(np.abs(op.eigenvalues(k=6))) < 0.05:
+                continue
+            rep = morse_index_general(prob, lam)
+            assert rep.verdict == op.morse_count(), (omega, ta, tb)
+            checked += 1
+
+    @pytest.mark.parametrize("omega,left,right,expected", [
+        (1.5, "neumann", "dirichlet", 1),   # (k + 1/2)^2 - 2.25: -2, 0
+        (0.5, "neumann", "dirichlet", 0),   # (k + 1/2)^2 - 0.25: 0, 2
+        (1.0, "neumann", "neumann", 1),     # k^2 - 1: -1, 0
+        (2.0, "neumann", "neumann", 2),     # k^2 - 4: -4, -3, 0
+        (2.0, "robin", "dirichlet", 2),     # the Dirichlet zero mode sin 2t goes negative
+    ])
+    def test_zero_modes(self, omega, left, right, expected):
+        # L_Lambda or the Dirichlet operator has a kernel: iota counts the
+        # change of Morse index plus nullity, so the nullities dim(K cap
+        # Lambda_F) and dim(K cap Lambda) enter the correction
+        frames = {"neumann": neumann_frame(S1), "dirichlet": dirichlet_frame(S1),
+                  "robin": line_frame(S1, [math.cos(0.3), math.sin(0.3)])}
+        prob = make_problem("harmonic", omega=omega, interval=(0.0, math.pi))
+        lam = direct_sum_frame(frames[left], frames[right])
+        assert discretize(prob, lam, 2048).morse_count() == expected
+        assert morse_index_general(prob, lam).verdict == expected
+
+
+class TestResolveBoundaryCondition:
+    PROB = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
+
+    @pytest.mark.parametrize("bc", [
+        "dirichlet", "neumann", BoundaryCondition("dirichlet"), BoundaryCondition("neumann"),
+        BoundaryCondition("general", direct_sum_frame(neumann_frame(S1), dirichlet_frame(S1)))])
+    def test_same_frame_for_chart_and_discretize(self, bc):
+        chart = boundary_chart(self.PROB)
+        frame = resolve_boundary_condition(self.PROB, bc, chart)
+        assert frame.space == chart.space
+        assert np.array_equal(frame.frame, resolve_boundary_condition(self.PROB, bc).frame)
+        by_name, by_frame = discretize(self.PROB, bc, 64), discretize(self.PROB, frame, 64)
+        assert np.array_equal(by_name.matrix, by_frame.matrix)
+        assert np.array_equal(by_name.mass, by_frame.mass)
+
+    def test_friedrichs_needs_a_chart(self):
+        chart = boundary_chart(self.PROB)
+        assert resolve_boundary_condition(self.PROB, "friedrichs", chart) is chart.friedrichs
+        with pytest.raises(KernelBasisUnavailable):
+            discretize(self.PROB, "friedrichs", 64)
+
+    @pytest.mark.parametrize("bc", ["robin", BoundaryCondition("robin"), BoundaryCondition("general")])
+    def test_unknown_condition_raises_on_every_route(self, bc):
+        with pytest.raises(UnknownBoundaryCondition):
+            morse_index_general(self.PROB, bc)
+        with pytest.raises(UnknownBoundaryCondition):
+            discretize(self.PROB, bc, 64)
+
+    def test_frame_of_another_space(self):
+        with pytest.raises(SpaceMismatch):
+            discretize(self.PROB, direct_sum_frame(dirichlet_frame(SymplecticSpace.standard(2)),
+                                                   dirichlet_frame(S1)), 64)
