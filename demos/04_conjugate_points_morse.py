@@ -10,13 +10,11 @@ index) or grows forever (infinite index).
 import math
 
 from symind.catalog import make_problem
-from symind.core import dirichlet_frame
 from symind.sturm import conjugate_points, morse_index_dirichlet
 
 # regular: -u'' - 100 u on (0,1): conjugate points at k pi / 10
 prob = make_problem("harmonic", omega=10.0)
-LD = dirichlet_frame(prob.space)
-pts = conjugate_points(prob, LD, LD, (0.0, 1.0), anchor=0.0)
+pts = conjugate_points(prob, (0.0, 1.0), anchor=0.0)
 print("harmonic omega=10 conjugate points:",
       [f"{t:.6f}" for t, _ in pts], " (k pi/10)")
 print("Morse index:", morse_index_dirichlet(prob).verdict)

@@ -104,15 +104,27 @@ def cmd_morse(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    from .core import dirichlet_frame
-    from .sturm import conjugate_points
+    """Conjugate points on --span, by default the problem's interval; at a
+    singular end, by default the finest truncation of the Morse schedule,
+    anchored at the regular end, with the span used in the diagnostics."""
+    from .sturm import DELTA_SCHEDULE, conjugate_points, truncated_span
 
     problem = _resolve_problem(args.problem, _problem_params(args), args.dim)
-    span = tuple(args.span) if args.span else problem.interval
-    LD = dirichlet_frame(problem.space)
-    pts = conjugate_points(problem, LD, LD, span, anchor=args.anchor)
+    anchor, span, diagnostics = args.anchor, problem.interval, {}
+    if args.span:
+        span = tuple(args.span)
+    elif problem.singular_end() is not None:
+        regular_end, span = truncated_span(problem, DELTA_SCHEDULE[-1])
+        anchor = regular_end if anchor is None else anchor
+        diagnostics["span"] = list(span)
+    if not span[0] < span[1]:
+        raise ConfigInvalid(f"span {span[0]} {span[1]} must have start < end")
+    if anchor is not None and not span[0] <= anchor <= span[1]:
+        raise ConfigInvalid(f"anchor {anchor} must lie in the span {span[0]} {span[1]}")
+    pts = conjugate_points(problem, span, anchor=anchor)
     rep = IndexReport(command="conjugate", verdict=int(sum(m for _, m in pts)),
-                      conjugate_points=list(pts), provenance=_provenance(args))
+                      conjugate_points=list(pts), diagnostics=diagnostics,
+                      provenance=_provenance(args))
     return _emit(rep, args, [[t, m] for t, m in pts], "t,multiplicity")
 
 
@@ -197,14 +209,11 @@ def cmd_spectral_flow(args) -> int:
                       diagnostics={"maslov": out["maslov"], "agree": out["agree"],
                                    "N": out["N"]},
                       provenance=_provenance(args))
-    rows = None
-    header = None
+    code = _emit(rep, args)
     if args.csv:
         fam = discretized_family(problem, args.bc or "dirichlet", args.N)
-        trace = EigenTrace.collect(fam, np.linspace(*args.s_range, 33), m=6)
-        rows = np.column_stack([trace.s_grid, trace.eigenvalues])
-        header = "s," + ",".join(f"lambda_{i+1}" for i in range(trace.eigenvalues.shape[1]))
-    return _emit(rep, args, rows, header)
+        EigenTrace.collect(fam, np.linspace(*args.s_range, 33), m=6).to_csv(args.csv)
+    return code
 
 
 def cmd_rellich(args) -> int:

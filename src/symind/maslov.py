@@ -57,7 +57,6 @@ from .errors import (
     Inconclusive,
     NotACrossing,
     SpaceMismatch,
-    SymindError,
 )
 
 # Crossing machinery knobs; see the module tests for how they were pinned.
@@ -449,27 +448,6 @@ def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
     return root, xtol
 
 
-def _confirm_half_turns(path1, path2, lo, hi, refs):
-    """Raise unless each tracked phase whose shorter arc passes the cut
-    clockwise over [lo, hi] went the long way round: the brackets bisect
-    together on the sign of the phase (positive before a half turn of the
-    line, negative after) until a sample shows it beyond pi/2, and one that
-    shrinks to the root tolerance first holds a clockwise crossing."""
-    xtol = LOCATE_REL_TOL * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), hi - lo)
-    i = np.arange(lo.size)
-    while i.size:
-        shut = i[hi[i] - lo[i] <= xtol[i]]
-        if shut.size:
-            raise SymindError(f"crossing at t={lo[shut[0]]} is not positive: "
-                              "a phase passes the cut clockwise")
-        t = 0.5 * (lo[i] + hi[i])
-        phase, refs[i] = _tracked_phases(path1, path2, t, refs[i])
-        near = np.abs(phase) <= 0.5 * np.pi
-        lo[i[near & (phase > 0)]] = t[near & (phase > 0)]
-        hi[i[near & (phase <= 0)]] = t[near & (phase <= 0)]
-        i = i[near]
-
-
 def _endpoint_inertia(phase, step) -> InertiaTriple:
     """Directions of the phases at the cut at an end sample, from the
     adjacent sample step; a phase that moves less than ENDPOINT_PHASE_TOL
@@ -480,7 +458,7 @@ def _endpoint_inertia(phase, step) -> InertiaTriple:
                          int(np.sum(d <= -ENDPOINT_PHASE_TOL)))
 
 
-def _crossings(path1, path2, a, b, counterclockwise):
+def _crossings(path1, path2, a, b):
     """The index and the crossing records of the pair on [a, b]."""
     ts, F = _refined_grid(path1, path2, a, b)
     lam, vecs = _pair_branches(*_eig_w(path1.space, F))
@@ -490,12 +468,6 @@ def _crossings(path1, path2, a, b, counterclockwise):
     # a phase at the cut at t = a or t = b is an endpoint crossing
     passes[0, np.abs(phase[0]) < ENDPOINT_PHASE_TOL] = 0
     passes[-1, np.abs(phase[-1]) < ENDPOINT_PHASE_TOL] = 0
-    if counterclockwise:
-        # every crossing is positive here, so a clockwise pass must be a half
-        # turn of the line inside the step, which passes no cut
-        k, j = np.nonzero(passes < 0)
-        _confirm_half_turns(path1, path2, ts[k], ts[k + 1], vecs[k, :, j])
-        passes[k, j] = 0
     at_a, at_b = _endpoint_inertia(phase[0], step[0]), _endpoint_inertia(phase[-1], step[-1])
     mu = int(passes.sum()) + at_a.n_plus - at_b.n_minus
 
@@ -516,20 +488,14 @@ def _crossings(path1, path2, a, b, counterclockwise):
 
 
 def maslov_clm(path1: LagrangianPath, path2: LagrangianPath,
-               interval: tuple | None = None, *, _counterclockwise: bool = False):
-    """CLM Maslov index of the pair (path1, path2) plus its crossing records.
-
-    ``_counterclockwise`` is for callers that know every crossing of the pair
-    is positive (a flow with positive definite P against Dirichlet data): a
-    step whose shorter arc passes the cut clockwise must then hold a half
-    turn of the line, which passes no cut, or SymindError is raised.
-    """
+               interval: tuple | None = None):
+    """CLM Maslov index of the pair (path1, path2) plus its crossing records."""
     if path1.space != path2.space:
         raise SpaceMismatch("paths in different spaces")
     a, b = interval if interval is not None else (max(path1.a, path2.a), min(path1.b, path2.b))
     if not b > a:
         raise ValueError("empty parameter interval")
-    return _crossings(path1, path2, a, b, _counterclockwise)
+    return _crossings(path1, path2, a, b)
 
 
 # -- triple and Hormander indices --------------------------------------------

@@ -499,27 +499,6 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
     }
 
 
-# -- Morse jump identity ---------------------------------------------------------
-
-
-def morse_jump_check(problem: SLProblem, bc0, bc1, bc_path, N: int = 512) -> dict:
-    """Check iMor(L_1) - iMor(L_0) = mu(Lambda_s, Graph(M_s)) by two
-    independent routes, for a boundary path bc_path on [0, 1] from bc0 to
-    bc1 (L_s carries bc_path(s) and c(s, .)).
-
-    The Morse indices are eigenvalue counts of the discretized problems at
-    s = 0 and s = 1; the Maslov index comes from the ODE, through the
-    monodromy graph path.  Along the path the spectral flow is
-    iMor(L_0) - iMor(L_1), and the spectral flow formula makes it -mu, so
-    the residual iMor(L_1) - iMor(L_0) - mu is zero when both routes hold.
-    """
-    i0 = discretize(problem, bc0, N, s=0.0).morse_count()
-    i1 = discretize(problem, bc1, N, s=1.0).morse_count()
-    mu, _ = maslov_clm(_boundary_path(problem, bc_path, (0.0, 1.0)),
-                       monodromy_graph_path(problem, (0.0, 1.0)), (0.0, 1.0))
-    return {"imor0": i0, "imor1": i1, "maslov": mu, "residual": i1 - i0 - mu, "N": N}
-
-
 # -- eigenvalue traces -----------------------------------------------------------
 
 

@@ -41,6 +41,7 @@ from .errors import (
     BracketLimitDiverges,
     CoefficientShapeInvalid,
     CoefficientSingular,
+    ContinuityBudgetExceeded,
     DriftBudgetExceeded,
     Inconclusive,
     KernelBasisUnavailable,
@@ -408,28 +409,6 @@ class FundamentalSolution:
     def max_drift(self) -> float:
         return max((r for _, r in self.drift_log), default=0.0)
 
-    def flow_path(self, frame: LagrangianFrame, lo: float | None = None,
-                  hi: float | None = None) -> LagrangianPath:
-        """The Lagrangian path t -> gamma(t) . frame over [lo, hi].
-
-        When the span hugs the coordinate singularity at 0 the initial sample
-        grid is geometric, matching the natural log-time scale of the flow.
-        """
-        if frame.space != self.problem.space:
-            raise SpaceMismatch("frame not in the problem's phase space")
-        lo = self.span[0] if lo is None else lo
-        hi = self.span[1] if hi is None else hi
-        space = self.problem.space
-        grid = None
-        if lo > 0 and hi / max(lo, 1e-300) > 50.0:
-            decades = math.log10(hi / lo)
-            grid = np.geomspace(lo, hi, max(256, int(48 * decades)))
-
-        def frames(ts):
-            return stacked_lagrangian_frames(space, self.matrices(ts) @ frame.frame)
-
-        return LagrangianPath(space, frames, lo, hi, grid=grid)
-
 
 def fundamental_solution(problem: SLProblem, t0: float, span: tuple,
                          **kwargs) -> FundamentalSolution:
@@ -470,32 +449,48 @@ def boundary_bracket(f_data, g_data) -> float:
 # -- conjugate points ---------------------------------------------------------
 
 
-def conjugate_points(problem: SLProblem, bc_at_start: LagrangianFrame,
-                     reference: LagrangianFrame, span: tuple,
-                     anchor: float | None = None, fs: FundamentalSolution | None = None):
-    """Interior instants where gamma(t).bc meets the reference, with multiplicity.
+def conjugate_points(problem: SLProblem, span: tuple, anchor: float | None = None,
+                     fs: FundamentalSolution | None = None):
+    """Interior instants where gamma(t) . Lambda_D meets the Dirichlet plane
+    Lambda_D, with multiplicity, on span = (c, d).
 
     ``anchor`` is where gamma equals the identity (defaults to the span
-    start).  When the reference is the Dirichlet frame and P is positive
-    definite, every crossing is positive.  Near a singular end the flow can
-    then swing through a half turn inside one sample interval, which the
-    shorter arc would read as a negative crossing, so the count reads a step
-    that passes the cut clockwise as that half turn once a sample inside the
-    step shows it, and raises SymindError otherwise.
+    start).  On a span that hugs the coordinate singularity at 0 (c > 0 and
+    d / c > 50) the path is sampled on a geometric grid in the scaled
+    coordinates (t^(1/2) u, t^(-1/2) x).  There a Bessel-type flow turns
+    evenly in log-time, where in (u, x) it dwells near the Dirichlet plane
+    and swings through a half turn in a burst that the sample grid aliases.
+    The map diag(t^(1/2) I, t^(-1/2) I) is symplectic and fixes Lambda_D, so
+    the crossings keep their instants, multiplicities and signs (Cappell,
+    Lee & Miller, CPAM 47, 1994).  With P positive definite every crossing
+    is positive, and a negative interior one raises ContinuityBudgetExceeded.
     """
     c, d = span
     anchor = c if anchor is None else anchor
     if fs is None:
         fs = fundamental_solution(problem, anchor, span)
-    path = fs.flow_path(bc_at_start, c, d)
-    ref_path = LagrangianPath.constant(reference, c, d)
+    space, n = problem.space, problem.dim
+    LD = dirichlet_frame(space)
+    scaled = c > 0 and d / c > 50.0
+    grid = np.geomspace(c, d, max(256, int(48 * math.log10(d / c)))) if scaled else None
 
-    dirichlet_like = np.allclose(reference.frame, dirichlet_frame(problem.space).frame)
-    P_mid = problem.coefficients([0.5 * (c + d)])[0][0]
-    positive_p = bool(np.all(np.linalg.eigvalsh(0.5 * (P_mid + P_mid.T)) > 0))
-    _, records = maslov_clm(ref_path, path, (c, d),
-                            _counterclockwise=dirichlet_like and positive_p)
-    return [(rec.t, rec.multiplicity) for rec in records if c < rec.t < d]
+    def frames(ts):
+        F = fs.matrices(ts) @ LD.frame
+        if scaled:
+            root = np.sqrt(ts)[:, None, None]
+            F = np.concatenate([root * F[:, :n], F[:, n:] / root], axis=1)
+        return stacked_lagrangian_frames(space, F)
+
+    _, records = maslov_clm(LagrangianPath.constant(LD, c, d),
+                            LagrangianPath(space, frames, c, d, grid=grid), (c, d))
+    records = [rec for rec in records if c < rec.t < d]
+    negative = [rec.t for rec in records if rec.inertia.n_minus]
+    if negative:
+        P_mid = problem.coefficients([0.5 * (c + d)])[0][0]
+        if np.all(np.linalg.eigvalsh(0.5 * (P_mid + P_mid.T)) > 0):
+            raise ContinuityBudgetExceeded(
+                f"negative crossing at t={negative[0]} with P positive definite")
+    return [(rec.t, rec.multiplicity) for rec in records]
 
 
 # -- Morse index under Dirichlet/Friedrichs conditions ------------------------
@@ -510,6 +505,15 @@ def _schedule_verdict(counts):
     return UNDETERMINED, "truncation counts neither stabilized nor grew monotonically"
 
 
+def truncated_span(problem: SLProblem, delta: float):
+    """The regular end of a problem with one singular end, and the interval
+    cut delta short of the singular end."""
+    a, b = problem.interval
+    if problem.singular_end() == 0:
+        return b, (a + delta, b)
+    return a, (a, b - delta)
+
+
 def morse_index_dirichlet(problem: SLProblem,
                           delta_schedule=DELTA_SCHEDULE) -> IndexReport:
     """Morse index with Dirichlet data at the regular end and the Friedrichs
@@ -519,7 +523,6 @@ def morse_index_dirichlet(problem: SLProblem,
     if len(schedule) < 4:
         raise ScheduleTooShort("need at least four truncation offsets")
 
-    LD = dirichlet_frame(problem.space)
     a, b = problem.interval
     side = problem.singular_end()
     assumptions = {"H3_bounded_below": "assumed, not verified",
@@ -527,7 +530,7 @@ def morse_index_dirichlet(problem: SLProblem,
 
     if side is None:
         fs = fundamental_solution(problem, a, (a, b))
-        pts = conjugate_points(problem, LD, LD, (a, b), anchor=a, fs=fs)
+        pts = conjugate_points(problem, (a, b), anchor=a, fs=fs)
         count = sum(m for _, m in pts)
         return IndexReport(
             command="morse", verdict=int(count),
@@ -537,15 +540,10 @@ def morse_index_dirichlet(problem: SLProblem,
                          "integrator_steps": dict(fs.steps),
                          "truncation": "none (regular problem)"})
 
-    if side == 0:
-        anchor, finest = b, (a + schedule[-1], b)
-        windows = [(a + d, b) for d in schedule]
-    else:
-        anchor, finest = a, (a, b - schedule[-1])
-        windows = [(a, b - d) for d in schedule]
-
+    windows = [truncated_span(problem, d)[1] for d in schedule]
+    anchor, finest = truncated_span(problem, schedule[-1])
     fs = fundamental_solution(problem, anchor, finest)
-    pts = conjugate_points(problem, LD, LD, finest, anchor=anchor, fs=fs)
+    pts = conjugate_points(problem, finest, anchor=anchor, fs=fs)
     counts = [sum(m for t, m in pts if lo < t < hi) for lo, hi in windows]
     verdict, reason = _schedule_verdict(counts)
 

@@ -83,6 +83,33 @@ class TestIndexCommands:
         assert json.loads(out)["verdict"] == 0
 
 
+class TestConjugateCommand:
+    @pytest.mark.parametrize("q", [-2.0, 0.5])
+    def test_singular_end_defaults_to_the_finest_truncation(self, capsys, q):
+        # the catalog interval (0, 1) starts at the singular end; the span
+        # used is that of the Morse schedule's finest truncation, anchored
+        # at the regular end
+        from symind.bessel import zero_sequence
+
+        code, out, _ = run_cli(["conjugate", "--problem", "bessel", "--q", str(q)], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["diagnostics"]["span"] == [1e-7, 1.0]
+        zeros = sorted(zero_sequence(q, (1e-7, 1.0))) if q < -0.25 else []
+        assert rep["verdict"] == len(zeros)
+        pts = sorted(t for t, _ in rep["conjugate_points"])
+        assert len(pts) == len(zeros)
+        for t, z in zip(pts, zeros):
+            assert abs(t - z) / z < 1e-8
+
+    @pytest.mark.parametrize("extra", [["--span", "1", "0.5"], ["--anchor", "5"]])
+    def test_span_and_anchor_are_checked(self, capsys, extra):
+        code, _, err = run_cli(["conjugate", "--problem", "harmonic", "--omega", "10"] + extra,
+                               capsys)
+        assert code == EXIT_ERROR
+        assert "symind.ConfigInvalid" in err
+
+
 class TestSpectralFlowCommand:
     def test_harmonic_ramp(self, capsys):
         code, out, _ = run_cli(["spectral-flow", "--problem", "free",

@@ -36,9 +36,10 @@ from symind.core import (
     principal_sines,
     random_lagrangian,
     random_symplectic,
+    stacked_lagrangian_frames,
     stacked_principal_sines,
 )
-from symind.errors import Inconclusive, NotACrossing, SpaceMismatch, SymindError
+from symind.errors import Inconclusive, NotACrossing, SpaceMismatch
 import symind.maslov as maslov
 from symind.cli import main
 from symind.maslov import (
@@ -179,24 +180,13 @@ class TestMaslovClm:
     def test_half_turn_inside_one_sample_interval(self):
         # the line turns from 0.02 to pi - 0.02 rad within about 1e-11 around
         # t = 0.3001, between grid samples, and never meets the reference; the
-        # shorter arc reads a clockwise pass, which a caller that knows every
-        # crossing is positive has confirmed as the half turn
+        # general scan reads the shorter arc, a clockwise pass
         def fun(t):
             angle = 0.02 + (np.pi - 0.04) * (0.5 + np.arctan((t - 0.3001) / 1e-11) / np.pi)
             return LagrangianFrame(S1, np.array([[np.cos(angle)], [np.sin(angle)]]))
         ref = LagrangianPath.constant(line_frame(S1, [1.0, 0.0]), 0.0, 1.0)
         path = LagrangianPath.pointwise(S1, fun, 0.0, 1.0)
         assert maslov_clm(ref, path)[0] == -1
-        assert maslov_clm(ref, path, _counterclockwise=True) == (0, [])
-
-    def test_forced_clockwise_pass_raises(self):
-        # a genuine clockwise crossing is an error for such a caller, not a
-        # pass to drop
-        ref = LagrangianPath.constant(line_frame(S1, [1.0, 0.0]), -0.5, 0.5)
-        path = cw_line_path(-0.5, 0.5)
-        assert maslov_clm(ref, path)[0] == -1
-        with pytest.raises(SymindError, match="not positive"):
-            maslov_clm(ref, path, _counterclockwise=True)
 
     def test_path_additivity(self):
         rng = np.random.default_rng(21)
@@ -643,7 +633,9 @@ class TestRefinedGrid:
         # omega = 60 turns the flow line about 19 times across (0, 1), faster
         # than the 256 initial samples resolve within budget
         fs = fundamental_solution(make_problem("harmonic", omega=60.0), 0.0, (0.0, 1.0))
-        flow = fs.flow_path(dirichlet_frame(S1))
+        D = dirichlet_frame(S1).frame
+        flow = LagrangianPath(S1, lambda ts: stacked_lagrangian_frames(S1, fs.matrices(ts) @ D),
+                              0.0, 1.0)
         const = LagrangianPath.constant(neumann_frame(S1), 0.0, 1.0)
         ts, F = _refined_grid(flow, const, 0.0, 1.0)
         assert len(ts) > 256

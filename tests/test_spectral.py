@@ -42,7 +42,6 @@ from symind.spectral import (
     discretize_neumann_ghost,
     discretized_family,
     monodromy_graph_path,
-    morse_jump_check,
     rellich_ghosts,
     spectral_flow,
     verify_sf_formula,
@@ -562,12 +561,16 @@ class TestRellichGhosts:
 
 
 class TestMorseJump:
+    """iMor(L_1) - iMor(L_0) = mu(Lambda_s, Graph(M_s)) along boundary paths on
+    [0, 1]: the spectral flow iMor(L_0) - iMor(L_1) from eigenvalue counts of
+    the discretized ends, the Maslov index from the ODE."""
+
     def test_constant_dirichlet_path(self):
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
-        out = morse_jump_check(prob, "dirichlet", "dirichlet",
-                               lambda s: "dirichlet", N=256)
-        assert out["residual"] == 0
-        assert out["imor1"] == out["imor0"] == 1
+        out = verify_sf_formula(prob, lambda s: "dirichlet", (0.0, 1.0), N=256)
+        assert out["agree"]
+        assert out["sf"] == out["maslov"] == 0
+        assert discretize(prob, "dirichlet", 256).morse_count() == 1
 
     def test_dirichlet_to_neumann_rotation(self):
         # rotate the left condition from Dirichlet to Neumann along the
@@ -580,11 +583,10 @@ class TestMorseJump:
             col = rotation_matrix(S1, -s * np.pi / 2) @ LD.frame
             return direct_sum_frame(col, LD.frame)
 
-        out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path,
-                               N=256)
-        assert out["imor1"] - out["imor0"] == 1
+        out = verify_sf_formula(prob, bc_path, (0.0, 1.0), N=256)
+        assert out["sf"] == -1
         assert out["maslov"] == 1
-        assert out["residual"] == 0
+        assert out["agree"]
 
     def test_problem_without_c_integrates_one_member(self, monkeypatch):
         # every s has the same monodromy when the problem has no c(s, .), so
@@ -601,8 +603,8 @@ class TestMorseJump:
         batched = spectral.monodromies
         monkeypatch.setattr(spectral, "monodromies", lambda problem, span, s: (
             sizes.append(len(s)) or batched(problem, span, s)))
-        out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path, N=256)
-        assert out["maslov"] == 1 and out["residual"] == 0
+        out = verify_sf_formula(prob, bc_path, (0.0, 1.0), N=256)
+        assert out["maslov"] == 1 and out["agree"]
         assert sizes and set(sizes) == {1}
 
     def test_wrong_count_shows_in_the_residual(self, monkeypatch):
@@ -621,9 +623,10 @@ class TestMorseJump:
         count = spectral.DiscreteOperator.morse_count
         monkeypatch.setattr(spectral.DiscreteOperator, "morse_count", lambda self, band=None: (
             count(self, band) + np.array_equal(getattr(self.bc, "frame", None), end)))
-        out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path, N=256)
-        assert out["imor1"] - out["imor0"] == 2
-        assert out["residual"] == 1
+        out = verify_sf_formula(prob, bc_path, (0.0, 1.0), N=256)
+        assert out["sf"] == -2
+        assert out["sf"] + out["maslov"] == -1
+        assert not out["agree"]
 
     def test_mathieu_random_rotation(self):
         prob = make_problem("mathieu", a=-1.5, q=0.4)
@@ -633,9 +636,8 @@ class TestMorseJump:
             col = rotation_matrix(S1, -0.5 * s) @ LD.frame
             return direct_sum_frame(col, LD.frame)
 
-        out = morse_jump_check(prob, bc_path(0.0), bc_path(1.0), bc_path,
-                               N=256)
-        assert out["residual"] == 0
+        out = verify_sf_formula(prob, bc_path, (0.0, 1.0), N=256)
+        assert out["agree"]
 
 
 class TestEigenTrace:

@@ -12,6 +12,7 @@ import pytest
 from symind.bessel import singular_solutions, solution_data
 from symind.catalog import load_problem_csv, make_problem
 from symind.core import (
+    InertiaTriple,
     SymplecticSpace,
     dirichlet_frame,
     direct_sum_frame,
@@ -22,13 +23,16 @@ from symind.errors import (
     BracketLimitDiverges,
     CoefficientShapeInvalid,
     CoefficientSingular,
+    ContinuityBudgetExceeded,
     KernelBasisUnavailable,
     ScheduleTooShort,
     SpaceMismatch,
     UnknownBoundaryCondition,
 )
-from symind.report import INFINITE
+from symind.maslov import CrossingRecord
+from symind.report import INFINITE, UNDETERMINED
 from symind.spectral import discretize
+import symind.sturm as sturm
 from symind.sturm import (
     LIMIT_CIRCLE,
     LIMIT_POINT,
@@ -204,31 +208,27 @@ class TestBoundaryBracket:
 class TestConjugatePoints:
     def test_harmonic_omega2_on_zero_pi(self):
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
-        LD = dirichlet_frame(S1)
-        pts = conjugate_points(prob, LD, LD, (0.0, np.pi), anchor=0.0)
+        pts = conjugate_points(prob, (0.0, np.pi), anchor=0.0)
         assert len(pts) == 1
         t, m = pts[0]
         assert t == pytest.approx(np.pi / 2, abs=1e-9) and m == 1
 
     def test_harmonic_omega10_on_unit(self):
         prob = make_problem("harmonic", omega=10.0)
-        LD = dirichlet_frame(S1)
-        pts = conjugate_points(prob, LD, LD, (0.0, 1.0), anchor=0.0)
+        pts = conjugate_points(prob, (0.0, 1.0), anchor=0.0)
         assert [m for _, m in pts] == [1, 1, 1]
         assert np.allclose([t for t, _ in pts], [np.pi / 10, 2 * np.pi / 10, 3 * np.pi / 10],
                            atol=1e-9)
 
     def test_free_particle_none(self):
         prob = make_problem("free")
-        LD = dirichlet_frame(S1)
-        assert conjugate_points(prob, LD, LD, (0.0, 1.0)) == []
+        assert conjugate_points(prob, (0.0, 1.0)) == []
 
     def test_monotonicity_in_interval(self):
         prob = make_problem("harmonic", omega=10.0, interval=(0.0, 2.0))
-        LD = dirichlet_frame(S1)
         counts = []
         for d in (0.5, 1.0, 1.5, 2.0):
-            pts = conjugate_points(prob, LD, LD, (0.0, d), anchor=0.0)
+            pts = conjugate_points(prob, (0.0, d), anchor=0.0)
             counts.append(sum(m for _, m in pts))
         assert counts == sorted(counts)
 
@@ -242,14 +242,21 @@ class TestConjugatePoints:
         R = O @ np.diag([-0.25 - math.pi ** 2, -0.25 - 2.939 ** 2]) @ O.T
         prob = SLProblem(2, (0.0, 1.0), 1.0, 0.0, lambda t: R / t ** 2,
                          endpoints=(LIMIT_CIRCLE, REGULAR))
-        LD = dirichlet_frame(prob.space)
-        pts = conjugate_points(prob, LD, LD, (1e-7, 1.0), anchor=1.0)
+        pts = conjugate_points(prob, (1e-7, 1.0), anchor=1.0)
         zeros = sorted(math.exp(-k * math.pi / nu) for nu in (math.pi, 2.939)
                        for k in range(1, 64) if math.exp(-k * math.pi / nu) > 1e-7)
         assert len(zeros) == 31
         assert [m for _, m in pts] == [1] * 31
         for (t, _), z in zip(sorted(pts), zeros):
             assert abs(t - z) / z < 1e-8
+
+    def test_negative_crossing_raises(self, monkeypatch):
+        # with P positive definite every crossing of the Dirichlet plane is
+        # positive, so a negative interior record means the scan aliased
+        monkeypatch.setattr(sturm, "maslov_clm", lambda *args: (
+            -1, [CrossingRecord(0.5, InertiaTriple(0, 0, 1))]))
+        with pytest.raises(ContinuityBudgetExceeded, match="negative crossing"):
+            conjugate_points(make_problem("harmonic", omega=10.0), (0.0, 1.0))
 
 
 class TestMorseIndexDirichlet:
@@ -279,13 +286,14 @@ class TestMorseIndexDirichlet:
         for t, e in zip(sorted(pts), expected):
             assert abs(t - e) / e < 1e-6
 
-    @pytest.mark.parametrize("nu", [1.79, 2.09, 2.939, 3.1899, 3.517])
+    @pytest.mark.parametrize("nu", [1.79, 2.09, 2.3394, 2.939, 3.1899, 3.3176, 3.5092, 3.517])
     def test_bessel_fast_rotation_near_truncation(self, nu):
         # near t = 1e-7 the path turns by nu * dt / t; a refinement floor fixed
         # at (1 - 1e-7) 2^-26 cannot resolve that, a relative one can.  For
-        # nu = 2.939 and 3.517 the smallest zero lies inside the last sample
-        # interval before the truncation point, where the flow swings through
-        # a half turn between samples
+        # nu = 2.3394, 2.939, 3.3176, 3.5092 and 3.517 the smallest zero lies
+        # within ten percent of the truncation point; in (u, x) the flow
+        # swings through a half turn there between samples, and the scan in
+        # scaled coordinates must still find that zero
         rep = morse_index_dirichlet(make_problem("bessel", q=-0.25 - nu * nu))
         assert rep.verdict == INFINITE
         assert all(m == 1 for _, m in rep.conjugate_points)
@@ -295,6 +303,24 @@ class TestMorseIndexDirichlet:
         assert len(pts) == len(zeros)
         for t, z in zip(pts, sorted(zeros)):
             assert abs(t - z) / z < 1e-9
+
+    @pytest.mark.parametrize("d, trace", [(2, [0, 1, 1, 1, 2, 2]), (3, [0, 2, 2, 2, 4, 4])])
+    def test_euler3_coupled_system(self, d, trace):
+        # the only oscillatory direction of the collinear total collision has
+        # Bessel coupling -8/15, with multiplicity d - 1; its flow columns
+        # differ in size by many orders near t = 0, which the scaled frames
+        # balance.  Two zeros lie above 1e-7, too few for either verdict
+        rep = morse_index_dirichlet(make_problem("nbody-asymptotic", config_id="euler3", d=d))
+        assert rep.verdict == UNDETERMINED
+        assert [c for _, c in rep.diagnostics["delta_trace"]] == trace
+        scalar = morse_index_dirichlet(make_problem("bessel", q=-8.0 / 15.0))
+        assert [c for _, c in scalar.diagnostics["delta_trace"]] == [0, 1, 1, 1, 2, 2]
+        nu = math.sqrt(8.0 / 15.0 - 0.25)
+        zeros = [math.exp(-k * math.pi / nu) for k in (2, 1)]
+        for report, m in ((rep, d - 1), (scalar, 1)):
+            assert [mult for _, mult in sorted(report.conjugate_points)] == [m, m]
+            for (t, _), z in zip(sorted(report.conjugate_points), zeros):
+                assert abs(t - z) / z < 1e-9
 
     @pytest.mark.parametrize("q", [0.6, 0.7, 0.74, 0.749])
     def test_bessel_limit_circle_up_to_three_quarters(self, q):
