@@ -12,7 +12,7 @@ from symind.spectral import EigenTrace, discretized_family, verify_sf_formula
 from symind.sturm import SLProblem
 
 problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
-                    c=lambda s, t: np.array([[-100.0 * s]]))
+                    c=lambda s, t: -100.0 * s * np.eye(1))
 
 out = verify_sf_formula(problem, "dirichlet", (0.0, 1.0), N=256)
 print("spectral flow:", out["sf"])

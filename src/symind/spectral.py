@@ -389,10 +389,11 @@ def monodromy_graph_path(problem: SLProblem, s_interval) -> LagrangianPath:
 
     The sampler takes every s a refinement wave of the crossing scan asks for
     in one batch: one stacked Magnus run for their monodromies
-    (``sturm.monodromies``) and one stacked call for their graph frames, with
-    ``graph_lagrangian``'s symplectic-residual check per member.  A problem
-    without ``c`` has one monodromy for every s, so a batch then integrates
-    one member and repeats its frame.
+    (``sturm.monodromies``, which calls ``c`` once per step batch with s of
+    shape (K, 1, 1, 1); see ``SLProblem``) and one stacked call for their
+    graph frames, with ``graph_lagrangian``'s symplectic-residual check per
+    member.  A problem without ``c`` has one monodromy for every s, so a
+    batch then integrates one member and repeats its frame.
     """
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
 

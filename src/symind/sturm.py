@@ -86,12 +86,18 @@ class SLProblem:
     """Coefficients of one Sturm-Liouville problem on an open interval.
 
     ``p``, ``q``, ``r`` are constants or callables t -> array, and ``c`` is
-    a callable (s, t) -> array; ``coefficients`` is the only sampler.  A
-    scalar constant means scalar * I, and an (n, n) constant is used as is.
-    A callable is called once per array of instants, with t of shape
-    (k, 1, 1), so that formulas written as for one instant, such as
-    ``q / t**2``, broadcast.  It returns (k, n, n), or (n, n) when it does
-    not depend on t; any other shape raises CoefficientShapeInvalid.
+    a callable (s, t) -> array.  A scalar constant means scalar * I, and an
+    (n, n) constant is used as is.  A callable is called once per array of
+    instants, with t of shape (k, 1, 1), so that formulas written as for one
+    instant, such as ``q / t**2``, broadcast.  It returns (k, n, n), or
+    (n, n) when it does not depend on t; any other shape raises
+    CoefficientShapeInvalid.
+
+    ``c`` has two call forms: ``coefficients(ts, s)`` passes a float s and
+    takes the shapes above, and ``hamiltonians`` passes a batch of K values
+    as s of shape (K, 1, 1, 1) and takes (K, k, n, n), or (K, 1, n, n) when
+    c does not depend on t.  ``-R * s * np.eye(n)`` and ``s * C`` for an
+    (n, n) array C serve both; ``np.array([[-R * s]])`` nests the batch.
     """
 
     dim: int
@@ -118,8 +124,8 @@ class SLProblem:
 
     def coefficients(self, ts, s: float | None = None):
         """(P, Q, R) at every t in ts, each of shape (len(ts), n, n), with
-        c(s, .) added to R when s is given; CoefficientShapeInvalid when a
-        coefficient returns any other shape."""
+        c(s, .) added to R when a float s is given; CoefficientShapeInvalid
+        when a coefficient returns any other shape."""
         t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
         P, Q, R = (_sample(f, t, self.dim) for f in (self.p, self.q, self.r))
         if s is not None and self.c is not None:
@@ -140,15 +146,23 @@ def hamiltonians(problem: SLProblem, ts, s: np.ndarray | None = None) -> np.ndar
     result is (len(s), len(ts), 2n, 2n), one stack per value.
 
     P, Q and R are sampled in one call and P is inverted in one batch, for
-    every s at once; only c(s, .) is sampled per value.  A nonzero scalar P
-    takes plain division: np.linalg.inv costs a LAPACK call per 1 x 1 matrix.
-    CoefficientSingular when P is not invertible at some node.
+    every s at once.  c is called once for the whole batch, with s of shape
+    (K, 1, 1, 1) and t of shape (k, 1, 1), and must return (K, k, n, n) or
+    (K, 1, n, n); any other shape raises CoefficientShapeInvalid.  A nonzero
+    scalar P takes plain division: np.linalg.inv costs a LAPACK call per
+    1 x 1 matrix.  CoefficientSingular when P is not invertible at some node.
     """
     n = problem.dim
     P, Q, R = problem.coefficients(ts)
     if s is not None and problem.c is not None:
-        t = np.asarray(ts, dtype=float).reshape(-1, 1, 1)
-        R = R + np.stack([_sample(lambda u: problem.c(sk, u), t, n) for sk in s.tolist()])
+        K, k = len(s), len(P)
+        C = np.asarray(problem.c(np.reshape(s, (K, 1, 1, 1)),
+                                 np.asarray(ts, dtype=float).reshape(k, 1, 1)), dtype=float)
+        if C.shape not in ((K, k, n, n), (K, 1, n, n)):
+            raise CoefficientShapeInvalid(
+                f"c(s, t) has shape {C.shape} for {K} values of s; "
+                f"expected ({K}, {k}, {n}, {n}) or ({K}, 1, {n}, {n})")
+        R = R + C
     if n == 1 and np.all(P != 0.0):
         Pinv = 1.0 / P
     else:
@@ -319,18 +333,21 @@ class FundamentalSolution:
         def member(k):
             return "" if s is None else f" for s={float(s[k])!r}"
 
-        def bisect_steps(seg, whole):
-            """(start, mid, end) and (whole, first half, second half) of the
-            steps seg[k, 0] -> seg[k, 1] whose exponentials are ``whole``."""
+        def bisect(seg):
+            """(start, mid, end) of the steps seg[k, 0] -> seg[k, 1]."""
             mid = np.sqrt(seg[:, 0] * seg[:, 1]) if geometric else seg.mean(axis=1)
-            halves = _step_matrices(problem, s, np.concatenate([seg[:, 0], mid]),
-                                    np.concatenate([mid, seg[:, 1]]))
-            return (np.column_stack([seg[:, 0], mid, seg[:, 1]]),
-                    np.stack([whole, *np.split(halves, 2, axis=1)], axis=2))
+            return np.column_stack([seg[:, 0], mid, seg[:, 1]])
+
+        def exponentials(seg, pairs):
+            """exp(Omega) of the steps seg[:, i] -> seg[:, j] for every (i, j)
+            in pairs, in one batch, stacked as (K, len(seg), len(pairs), m, m)."""
+            i, j = np.array(pairs).T
+            E = _step_matrices(problem, s, seg[:, i].T.ravel(), seg[:, j].T.ravel())
+            return np.stack(np.split(E, len(pairs), axis=1), axis=2)
 
         grid = (np.geomspace if geometric else np.linspace)(t0, far, cls.INITIAL_STEPS + 1)
-        seg, E = bisect_steps(np.column_stack([grid[:-1], grid[1:]]),
-                              _step_matrices(problem, s, grid[:-1], grid[1:]))
+        seg = bisect(np.column_stack([grid[:-1], grid[1:]]))
+        E = exponentials(seg, [(0, 2), (0, 1), (1, 2)])      # whole steps and their halves
         K = E.shape[0]
         while True:
             M = _chain(E[:, :, 1:].reshape(K, -1, m, m))
@@ -355,9 +372,10 @@ class FundamentalSolution:
                 raise StepSizeUnderflow(
                     f"Magnus step below 2^-{cls.MAX_DEPTH} of [{lo:.3e}, {hi:.3e}] "
                     f"needed for tol {tol:.1e}{member(np.flatnonzero(tiny.any(axis=1))[0])}")
-            new_seg, new_E = bisect_steps(
-                np.concatenate([seg[split, :2], seg[split, 1:]]),
-                np.concatenate([E[:, split, 1], E[:, split, 2]], axis=1))
+            new_seg = bisect(np.concatenate([seg[split, :2], seg[split, 1:]]))
+            whole = np.concatenate([E[:, split, 1], E[:, split, 2]], axis=1)
+            new_E = np.concatenate([whole[:, :, None], exponentials(new_seg, [(0, 1), (1, 2)])],
+                                   axis=2)
             seg = np.concatenate([seg[~split], new_seg])
             E = np.concatenate([E[:, ~split], new_E], axis=1)
             order = np.argsort(np.abs(seg[:, 0] - t0))    # outward from the base point
@@ -514,11 +532,13 @@ def truncated_span(problem: SLProblem, delta: float):
     return a, (a, b - delta)
 
 
-def morse_index_dirichlet(problem: SLProblem,
-                          delta_schedule=DELTA_SCHEDULE) -> IndexReport:
+def morse_index_dirichlet(problem: SLProblem, delta_schedule=DELTA_SCHEDULE,
+                          fs: FundamentalSolution | None = None) -> IndexReport:
     """Morse index with Dirichlet data at the regular end and the Friedrichs
     condition at a limit-circle singular end: the stabilized conjugate-point
-    count over interval truncations toward the singular endpoint."""
+    count over interval truncations toward the singular endpoint.  On a
+    problem regular at both ends, ``fs`` is the fundamental solution from a
+    on (a, b), built here when None."""
     schedule = tuple(sorted({float(d) for d in delta_schedule}, reverse=True))
     if len(schedule) < 4:
         raise ScheduleTooShort("need at least four truncation offsets")
@@ -529,7 +549,8 @@ def morse_index_dirichlet(problem: SLProblem,
                    "H4_fredholm_minimal": "assumed, not verified"}
 
     if side is None:
-        fs = fundamental_solution(problem, a, (a, b))
+        if fs is None:
+            fs = fundamental_solution(problem, a, (a, b))
         pts = conjugate_points(problem, (a, b), anchor=a, fs=fs)
         count = sum(m for _, m in pts)
         return IndexReport(
@@ -635,12 +656,15 @@ def resolve_boundary_condition(problem: SLProblem, bc,
     raise UnknownBoundaryCondition(f"cannot resolve boundary condition {bc!r}")
 
 
-def regular_boundary_chart(problem: SLProblem) -> BoundaryChart:
+def regular_boundary_chart(problem: SLProblem,
+                           fs: FundamentalSolution | None = None) -> BoundaryChart:
     """Chart of a problem regular at both ends: the kernel trace is the graph
-    of the fundamental solution from a to b, and the Friedrichs condition is
-    Dirichlet data at both ends."""
+    of the fundamental solution ``fs`` from a on (a, b) (built here when
+    None) at b, and the Friedrichs condition is Dirichlet data at both ends."""
     a, b = problem.interval
-    V = graph_lagrangian(fundamental_solution(problem, a, (a, b)).symplectic(b))
+    if fs is None:
+        fs = fundamental_solution(problem, a, (a, b))
+    V = graph_lagrangian(fs.symplectic(b))
     return BoundaryChart(problem, V, resolve_boundary_condition(problem, "dirichlet"))
 
 
@@ -667,15 +691,16 @@ def singular_boundary_chart(problem: SLProblem, kernel_data,
     return BoundaryChart(problem, V, F, kernel_data)
 
 
-def boundary_chart(problem: SLProblem) -> BoundaryChart:
+def boundary_chart(problem: SLProblem,
+                   fs: FundamentalSolution | None = None) -> BoundaryChart:
     """Dispatch: analytic chart for catalog problems with a kernel basis,
-    endpoint-evaluation chart for regular problems; KernelBasisUnavailable
-    for any other singular end."""
+    endpoint-evaluation chart for regular problems (from ``fs`` when given);
+    KernelBasisUnavailable for any other singular end."""
     if problem.catalog in ("bessel", "bessel_r"):
         from .bessel import bessel_boundary_chart
         return bessel_boundary_chart(problem)
     if problem.singular_end() is None:
-        return regular_boundary_chart(problem)
+        return regular_boundary_chart(problem, fs)
     raise KernelBasisUnavailable(
         "no kernel basis for a singular end outside the Bessel catalog entries")
 
@@ -747,14 +772,20 @@ def morse_index_general(problem: SLProblem, bc,
     correction iota(K, Lambda_F, Lambda) + dim(K cap Lambda_F) - dim(K cap
     Lambda).  The order of the last two arguments matters:
     iota(K, Lambda, Lambda_F) counts the line mirrored across Lambda_F.
-    ``bc`` is anything ``resolve_boundary_condition`` takes.
+    ``bc`` is anything ``resolve_boundary_condition`` takes.  A problem
+    regular at both ends integrates its fundamental solution once, for the
+    chart and the Friedrichs index alike.
     """
+    fs = None
+    if problem.singular_end() is None:
+        a, b = problem.interval
+        fs = fundamental_solution(problem, a, (a, b))
     if chart is None:
-        chart = boundary_chart(problem)
+        chart = boundary_chart(problem, fs)
     if chart.friedrichs is None:
         raise KernelBasisUnavailable("no Friedrichs frame available in this chart")
     Lam = resolve_boundary_condition(problem, bc, chart)
-    base = morse_index_dirichlet(problem, delta_schedule)
+    base = morse_index_dirichlet(problem, delta_schedule, fs)
     K, F = chart.kernel_trace, chart.friedrichs
     correction = triple_index(K, F, Lam) + intersection_dim(K, F) - intersection_dim(K, Lam)
 

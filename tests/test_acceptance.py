@@ -97,7 +97,7 @@ class TestCriterion4SpectralFlowFormula:
     def test_formula_and_grid_stability(self):
         start = time.perf_counter()
         problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
-                            c=lambda s, t: np.array([[-100.0 * s]]))
+                            c=lambda s, t: -100.0 * s * np.eye(1))
         out = verify_sf_formula(problem, "dirichlet", (0.0, 1.0), N=512)
         assert out["sf"] == -3 and out["maslov"] == 3
         assert out["sf"] == -out["maslov"]

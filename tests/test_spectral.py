@@ -29,6 +29,7 @@ from symind.core import (
 )
 from symind.errors import (
     BCEliminationSingular,
+    CoefficientShapeInvalid,
     CoefficientSingular,
     DriftBudgetExceeded,
     GridTooCoarse,
@@ -50,6 +51,7 @@ from symind.sturm import (
     FundamentalSolution,
     SLProblem,
     fundamental_solution,
+    hamiltonians,
     monodromies,
     resolve_boundary_condition,
 )
@@ -203,7 +205,7 @@ class TestDiscretize:
         # |V P^-1 V| over the grid (about 23 or 4 at N = 512) would take
         # -13.35 or -3.88 for zero
         prob = replace(make_problem("bessel", q=q, interval=(0.01, 1.0)),
-                       c=lambda s, t: np.array([[-R * s]]))
+                       c=lambda s, t: -R * s * np.eye(1))
         op = discretize(prob, "dirichlet", 512, s=1.0)
         assert op.eigenvalues(k=len(lowest)) == pytest.approx(lowest, abs=0.01)
         assert op.morse_count() == len(lowest)
@@ -357,7 +359,7 @@ class TestSpectralFlow:
     def test_harmonic_family_three_down(self):
         # R_s = -100 s on (0,1), Dirichlet: eigenvalues (k pi)^2 - 100 s
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
-                         c=lambda s, t: np.array([[-100.0 * s]]))
+                         c=lambda s, t: -100.0 * s * np.eye(1))
         fam = discretized_family(prob, "dirichlet", 256)
         assert spectral_flow(fam, (0.0, 1.0)) == -3
 
@@ -366,7 +368,7 @@ class TestSpectralFlow:
         # -u'' - R s u with pi^2 < 4 pi^2 < R: two eigenvalues fall through
         # zero, the second one late in the path (4 pi^2 / R = 0.58)
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
-                         c=lambda s, t: np.array([[-R * s]]))
+                         c=lambda s, t: -R * s * np.eye(1))
         fam = discretized_family(prob, "dirichlet", 512)
         assert spectral_flow(fam, (0.0, 1.0)) == -2
 
@@ -413,7 +415,7 @@ class TestSpectralFlow:
 class TestVerifySfFormula:
     def test_harmonic_family(self):
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
-                         c=lambda s, t: np.array([[-100.0 * s]]))
+                         c=lambda s, t: -100.0 * s * np.eye(1))
         out = verify_sf_formula(prob, "dirichlet", (0.0, 1.0), N=256)
         assert out["sf"] == -3
         assert out["maslov"] == 3
@@ -442,7 +444,45 @@ class TestVerifySfFormula:
 
 def ramp_problem(R):
     """-u'' - R s u on (0, 1); the coefficients do not depend on t."""
-    return SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=lambda s, t: np.array([[-R * s]]))
+    return SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=lambda s, t: -R * s * np.eye(1))
+
+
+class TestBatchedCoefficientContract:
+    """c(s, t) takes a whole batch of s, shaped (K, 1, 1, 1), in one call."""
+
+    def test_one_call_per_batch(self):
+        shapes = []
+
+        def c(s, t):
+            shapes.append(np.shape(s))
+            return -25.0 * s * np.eye(1)
+
+        problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=c)
+        s = np.linspace(0.0, 1.0, 127)
+        H = hamiltonians(problem, np.linspace(0.0, 1.0, 24), s)
+        assert shapes == [(127, 1, 1, 1)]
+        assert H.shape == (127, 24, 2, 2)
+        assert np.array_equal(H[:, :, 1, 1], np.broadcast_to(-25.0 * s[:, None], (127, 24)))
+
+    def test_nested_scalar_form_raises_on_the_batch_route(self):
+        problem = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=lambda s, t: np.array([[-25.0 * s]]))
+        with pytest.raises(CoefficientShapeInvalid, match=r"\(5, 3, 1, 1\) or \(5, 1, 1, 1\)"):
+            hamiltonians(problem, [0.1, 0.2, 0.3], np.linspace(0.0, 1.0, 5))
+        with pytest.raises(CoefficientShapeInvalid):
+            monodromies(problem, (0.0, 1.0), [0.0, 1.0])
+
+    def test_scalar_formula_in_dim_two_raises(self):
+        # -R s broadcast over the 2 x 2 block would fill all four entries
+        problem = replace(coupled_dim2_problem(), c=lambda s, t: -10.0 * s)
+        with pytest.raises(CoefficientShapeInvalid, match=r"\(4, 1, 1, 1\) for 4 values"):
+            hamiltonians(problem, [0.1, 0.2], np.linspace(0.0, 1.0, 4))
+
+    def test_float_route_keeps_the_nested_form(self):
+        # a float s gives c a float: np.array([[-R * s]]) is (1, 1) there
+        nested = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0, c=lambda s, t: np.array([[-50.0 * s]]))
+        op = discretize(nested, "dirichlet", 128, s=1.0)
+        assert np.array_equal(op.matrix, discretize(ramp_problem(50.0), "dirichlet", 128, s=1.0).matrix)
+        assert op.morse_count() == 2           # pi^2 and (2 pi)^2 lie below 50
 
 
 class TestBatchedMonodromies:
@@ -463,12 +503,13 @@ class TestBatchedMonodromies:
     ], ids=["ramp", "dim2"])
     def test_batch_equals_one_solution_per_s(self, make):
         # every member needs the same step grid on its own here, so the
-        # shared grid is each member's own
+        # shared grid is each member's own, and every step is computed
+        # elementwise: the batch is the single builds bit for bit
         problem = make()
         s = np.linspace(0.0, 1.0, 33)
         batched = monodromies(problem, problem.interval, s)
         assert batched.shape == (33, 2 * problem.dim, 2 * problem.dim)
-        assert np.all(self.relative_gap(batched, self.one_by_one(problem, s)) <= 1e-12)
+        assert np.array_equal(batched, self.one_by_one(problem, s))
 
     def test_members_on_a_finer_shared_grid_stay_within_tol(self):
         # with c = -40 s I only s = 1 needs more than 64 steps; the members
@@ -643,7 +684,7 @@ class TestMorseJump:
 class TestEigenTrace:
     def test_collect_and_csv(self, tmp_path):
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, 0.0,
-                         c=lambda s, t: np.array([[-100.0 * s]]))
+                         c=lambda s, t: -100.0 * s * np.eye(1))
         fam = discretized_family(prob, "dirichlet", 64)
         tr = EigenTrace.collect(fam, np.linspace(0, 1, 5), m=4)
         assert tr.eigenvalues.shape == (5, 4)

@@ -455,6 +455,24 @@ class TestMorseIndexGeneral:
         assert rep.verdict == 2
         assert rep.diagnostics["triple_index_correction"] == 1
 
+    def test_regular_problem_integrates_once(self, monkeypatch):
+        # Neumann spectrum of -d^2 - 7.3^2 on (0, pi): k^2 - 53.29, k = 0..7
+        prob = make_problem("harmonic", omega=7.3, interval=(0.0, np.pi))
+        two_builds = morse_index_general(prob, "neumann",
+                                         chart=sturm.regular_boundary_chart(prob))
+        calls = []
+        integrate = sturm.FundamentalSolution._integrate
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return integrate(*args)
+
+        monkeypatch.setattr(sturm.FundamentalSolution, "_integrate", staticmethod(counting))
+        rep = morse_index_general(prob, "neumann")
+        assert calls == [(0.0, np.pi)]
+        assert rep.verdict == 8
+        assert rep.to_json() == two_builds.to_json()
+
     def test_mixed_neumann_dirichlet(self):
         # u'(0) = 0, u(pi) = 0: eigenvalues (k+1/2)^2 - 4: two negative
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
