@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .bessel import LIMIT_POINT_Q, q_of_r
 from .errors import UnknownCatalogEntry
 from .sturm import LIMIT_CIRCLE, LIMIT_POINT, REGULAR, SLProblem
 
@@ -62,12 +63,11 @@ def make_problem(name: str, **params) -> SLProblem:
 
     if name in ("bessel", "bessel_r"):
         if name == "bessel_r":
-            from .bessel import q_of_r
             q = q_of_r(float(params.pop("r")))
         else:
             q = float(params.pop("q"))
         interval = tuple(params.pop("interval", (0.0, 1.0)))
-        kind0 = LIMIT_CIRCLE if q < 0.75 else LIMIT_POINT
+        kind0 = LIMIT_CIRCLE if q < LIMIT_POINT_Q else LIMIT_POINT
         return SLProblem(
             1, interval, 1.0, 0.0, lambda t, _q=q: _q / t ** 2,
             endpoints=(kind0, REGULAR), catalog="bessel", params={"q": q, **params})

@@ -129,13 +129,13 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_bessel(args) -> int:
-    from .bessel import q_of_r, zero_sequence
+    from .bessel import THRESHOLD_Q, q_of_r, zero_sequence
 
     q = args.q if args.q is not None else (q_of_r(args.r) if args.r is not None else None)
     if q is None:
         raise ConfigInvalid("bessel needs --q or --r")
     window = tuple(args.window) if args.window else (1e-4, 1.0)
-    if q < -0.25:
+    if q < THRESHOLD_Q:
         zeros = zero_sequence(q, window)
         verdict = INFINITE
     else:

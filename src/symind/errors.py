@@ -29,10 +29,6 @@ class NotACrossing(SymindError):
     """Requested instant has trivial intersection."""
 
 
-class ChartBreakdown(SymindError):
-    """No transversal complement found after retries."""
-
-
 class ContinuityBudgetExceeded(SymindError):
     """Path moves too fast for the refinement cap."""
 

@@ -6,10 +6,11 @@ Conventions.  For a pair (l1, l2) of paths the index is
     mu(l1, l2; [a,b]) = n_plus(G(a)) + sum_interior sgn(G(t)) - n_minus(G(b)),
 
 where G(t) is the relative crossing form Q(l2, l2') - Q(l1, l1') restricted to
-l1(t) cap l2(t), and Q(L, L')[v] = d/dt omega(v, w(t)) with v + w(t) in l(t)
-for a complement W transversal to l(t0).  A counterclockwise rotation of a
-line through a fixed reference in (R^2, Omega) therefore scores +1 at an
-interior crossing.
+l1(t) cap l2(t), and Q(L, L')[v] = omega(v, P'(t0) v) for the orthogonal
+projector P(t) onto l(t); this is d/dt omega(v, w(t)) with v + w(t) in l(t)
+for any complement W transversal to l(t0) (Robbin & Salamon, Topology 32,
+1993).  A counterclockwise rotation of a line through a fixed reference in
+(R^2, Omega) therefore scores +1 at an interior crossing.
 
 Counting rule.  An orthonormal frame [X; Y] of a Lagrangian L in (p, q)
 coordinates gives the unitary U = X + iY, and S(L) = U U^T depends on L
@@ -28,8 +29,8 @@ two constant paths that meet, and counts in n_zero.  A product space (-Omega) (+
 the standard one by negating the left p-block.
 
 ``crossing_form`` and ``relative_crossing_matrix`` compute crossing forms
-directly, by finite differences in a chart; the count does not use them, and
-they serve as its independent check.
+directly, from finite differences of the projector; the count does not use
+them, and they serve as its independent check.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ from .core import (
     inertia_of,
     intersection_basis,
     intersection_dim,
-    principal_sines,
-    random_lagrangian,
     stacked_principal_sines,
 )
 from .errors import (
-    ChartBreakdown,
     ContinuityBudgetExceeded,
     Inconclusive,
     NotACrossing,
@@ -193,96 +191,58 @@ class LagrangianPath:
 # -- crossing forms ----------------------------------------------------------
 
 
-def _transversal_complement(frame: LagrangianFrame, rng=None):
-    """A Lagrangian complement of span(frame): J.frame by default, random otherwise."""
-    space = frame.space
-    if rng is None:
-        return LagrangianFrame(space, space.form @ frame.frame)
-    for _ in range(8):
-        W = random_lagrangian(space, rng)
-        if principal_sines(frame, W)[0] > 0.2:
-            return W
-    raise ChartBreakdown("no transversal complement found in 8 random draws")
+def _projector_rate(path: LagrangianPath, t0: float, h: float) -> np.ndarray:
+    """P'(t0) of the orthogonal projector P(t) = F F^T onto path(t), F its
+    orthonormal frame, from one batched ``frames`` call.
 
-
-def _q_matrix_single(path: LagrangianPath, t0: float, vectors: np.ndarray,
-                     h: float, W: LagrangianFrame) -> np.ndarray:
-    """Matrix of Q(path(t0), path'(t0)) on the given vectors (columns in path(t0)).
-
-    The chart decomposition v + w(t) in l(t), w(t) in W is solved as a linear
-    system; the derivative uses second-order differences with one Richardson
-    step, falling back to one-sided stencils at the domain ends.
+    Second-order differences with steps h/2 and h and one Richardson step;
+    both steps take the central stencil when h fits inside the path's domain
+    and the same one-sided one otherwise.  A stencil sums differences from
+    its first node, so a constant path has P' = 0 exactly.
     """
-    space = path.space
-    J = space.form
-    G = W.frame
-    V = vectors
-
-    def phi(t):
-        Ft = path(t).frame
-        A = np.hstack([Ft, -G])
-        X = np.linalg.solve(A, V)
-        w = G @ X[space.half_dim:]
-        return V.T @ J @ w
-
-    lo, hi = path.a, path.b
-
-    def derivative(step):
-        if t0 - step >= lo and t0 + step <= hi:
-            return (phi(t0 + step) - phi(t0 - step)) / (2.0 * step)
-        if t0 + 2 * step <= hi:
-            return (-3.0 * phi(t0) + 4.0 * phi(t0 + step) - phi(t0 + 2 * step)) / (2.0 * step)
-        if t0 - 2 * step >= lo:
-            return (3.0 * phi(t0) - 4.0 * phi(t0 - step) + phi(t0 - 2 * step)) / (2.0 * step)
+    # nodes in units of the step, and the weights of their differences from the first
+    if t0 - h >= path.a and t0 + h <= path.b:
+        x, w = np.array([-1.0, 1.0]), [1.0]
+    elif t0 + 2 * h <= path.b:
+        x, w = np.array([0.0, 1.0, 2.0]), [4.0, -1.0]
+    elif t0 - 2 * h >= path.a:
+        x, w = np.array([0.0, -1.0, -2.0]), [-4.0, 1.0]
+    else:
         raise ValueError("step too large for the path domain")
-
-    D = (4.0 * derivative(h / 2) - derivative(h)) / 3.0
-    return 0.5 * (D + D.T)
-
-
-def _q_matrix(path: LagrangianPath, t0: float, vectors: np.ndarray, h: float,
-              check_rng=None) -> np.ndarray:
-    """Q-form matrix with an independence check against a second transversal W."""
-    Q1 = _q_matrix_single(path, t0, vectors, h, _transversal_complement(path(t0)))
-    if check_rng is not None:
-        W2 = _transversal_complement(path(t0), check_rng)
-        Q2 = _q_matrix_single(path, t0, vectors, h, W2)
-        scale = max(1.0, float(np.max(np.abs(Q1))))
-        if np.max(np.abs(Q1 - Q2)) > 1e-3 * scale:
-            raise ChartBreakdown("crossing form depends on the chart complement")
-    return Q1
-
-
-def _is_constant(path: LagrangianPath) -> bool:
-    # probe at incommensurate fractions: a path rotating by multiples of pi
-    # aliases any single probe, but not all of these simultaneously
-    F = path.frames(path.a + (path.b - path.a) * np.array(
-        [0.0, 1.0, 0.6180339887498949, 0.12345678901234568]))
-    return bool(np.all(stacked_principal_sines(path.space, F[:1], F[1:])[:, -1] < 1e-14))
+    F = path.frames(t0 + np.concatenate([0.5 * h * x, h * x]))
+    P = (F @ np.swapaxes(F, 1, 2)).reshape(2, len(x), path.space.dim, path.space.dim)
+    D = np.tensordot(w, P[:, 1:] - P[:, :1], (0, 1)) / np.array([h, 2.0 * h])[:, None, None]
+    return (4.0 * D[0] - D[1]) / 3.0
 
 
 def relative_crossing_matrix(path1: LagrangianPath, path2: LagrangianPath,
-                             t0: float, basis: np.ndarray, h: float,
-                             check_rng=None) -> np.ndarray:
-    """Matrix of Q(path2) - Q(path1) on the intersection basis at t0."""
-    Q = np.zeros((basis.shape[1], basis.shape[1]))
-    if not _is_constant(path2):
-        Q = Q + _q_matrix(path2, t0, basis, h, check_rng)
-    if not _is_constant(path1):
-        Q = Q - _q_matrix(path1, t0, basis, h, check_rng)
-    return Q
+                             t0: float, basis: np.ndarray, h: float) -> np.ndarray:
+    """Matrix of Q(path2) - Q(path1) on the intersection basis at t0, with
+    Q(v) = omega(v, P'(t0) v) for the projector P of ``_projector_rate``.
+
+    For v = F a in l(t0) this is the chart definition d/dt omega(v, w(t)):
+    omega(v, P'v) = omega(v, F'a) + omega(v, F F'^T v), and the last term
+    vanishes because l(t0) is Lagrangian.  P depends on l(t) alone, so no
+    chart, complement or frame is chosen.
+    """
+    rate = _projector_rate(path2, t0, h) - _projector_rate(path1, t0, h)
+    Q = basis.T @ path1.space.form @ rate @ basis
+    return 0.5 * (Q + Q.T)
 
 
 def crossing_form(path: LagrangianPath, reference: LagrangianFrame, t0: float,
-                  h: float | None = None, check_rng=None) -> InertiaTriple:
-    """Inertia of the crossing form of ``path`` against a fixed reference at t0."""
+                  h: float | None = None) -> InertiaTriple:
+    """Inertia of the crossing form of ``path`` against a fixed reference at
+    t0: the relative crossing matrix against the constant path at
+    ``reference``, on a basis of their intersection."""
     if reference.space != path.space:
         raise SpaceMismatch("reference frame in the wrong space")
     basis = intersection_basis(path(t0), reference, tol=CROSSING_FORM_TOL)
     if basis.shape[1] == 0:
         raise NotACrossing(f"t0={t0} is not a crossing instant")
     h = 1e-5 * (path.b - path.a) if h is None else h
-    Q = _q_matrix(path, t0, basis, h, check_rng)
+    Q = relative_crossing_matrix(LagrangianPath.constant(reference, path.a, path.b),
+                                 path, t0, basis, h)
     return inertia_of(Q, floor=INERTIA_FLOOR * max(1.0, float(np.max(np.abs(Q)))))
 
 

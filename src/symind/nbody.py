@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import THRESHOLD_Q, THRESHOLD_TOL
+from .bessel import LIMIT_POINT_Q, THRESHOLD_Q, THRESHOLD_TOL
 from .catalog import make_problem
 from .errors import (
     CollisionConfiguration,
@@ -268,7 +268,7 @@ def _limiting_problem(eigs, motion: str, **params) -> SLProblem:
         return SLProblem(len(eigs), (1.0, 60.0), 1.0, 0.0, lambda t, _D=D: _D / t ** 3,
                          endpoints=(REGULAR, REGULAR), catalog="nbody-asymptotic",
                          params=params)
-    kind = LIMIT_CIRCLE if max(eigs) < 0.75 else LIMIT_POINT
+    kind = LIMIT_CIRCLE if max(eigs) < LIMIT_POINT_Q else LIMIT_POINT
     return SLProblem(len(eigs), (0.0, 1.0), 1.0, 0.0, lambda t, _D=D: _D / t ** 2,
                      endpoints=(kind, REGULAR), catalog="nbody-asymptotic",
                      params=params)
@@ -299,8 +299,7 @@ def asymptotic_morse_from_spectrum(eigs, motion, command: str = "nbody") -> Inde
         # is always finite; the truncated count below is a diagnostic only
         total = 0
         for lam in eigs:
-            rep = morse_index_dirichlet(_limiting_problem([lam], HYPERBOLIC),
-                                        delta_schedule=(1.0, 2.0, 4.0, 8.0))
+            rep = morse_index_dirichlet(_limiting_problem([lam], HYPERBOLIC))
             total += rep.verdict if isinstance(rep.verdict, int) else 0
         diagnostics["truncated_count"] = total
         return IndexReport(command=command, verdict=int(total),

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from .bessel import LIMIT_POINT_Q, THRESHOLD_Q, bessel_boundary_chart
 from .core import (
     LagrangianFrame,
     SymplecticMatrix,
@@ -572,8 +573,8 @@ def morse_index_dirichlet(problem: SLProblem, delta_schedule=DELTA_SCHEDULE,
                    "max_drift": fs.max_drift(),
                    "integrator_steps": dict(fs.steps)}
     qval = problem.params.get("q")
-    if problem.catalog in ("bessel", "bessel_r") and qval is not None and qval < -0.25:
-        nu = math.sqrt(-0.25 - qval)
+    if problem.catalog == "bessel" and qval is not None and qval < THRESHOLD_Q:
+        nu = math.sqrt(THRESHOLD_Q - qval)
         diagnostics["expected_growth_per_decade"] = nu * math.log(10.0) / math.pi
 
     return IndexReport(
@@ -696,8 +697,7 @@ def boundary_chart(problem: SLProblem,
     """Dispatch: analytic chart for catalog problems with a kernel basis,
     endpoint-evaluation chart for regular problems (from ``fs`` when given);
     KernelBasisUnavailable for any other singular end."""
-    if problem.catalog in ("bessel", "bessel_r"):
-        from .bessel import bessel_boundary_chart
+    if problem.catalog == "bessel":
         return bessel_boundary_chart(problem)
     if problem.singular_end() is None:
         return regular_boundary_chart(problem, fs)
@@ -775,6 +775,10 @@ def morse_index_general(problem: SLProblem, bc,
     ``bc`` is anything ``resolve_boundary_condition`` takes.  A problem
     regular at both ends integrates its fundamental solution once, for the
     chart and the Friedrichs index alike.
+    An ``Infinite`` or ``Undetermined`` Friedrichs verdict holds for every
+    Lambda, in a chart without a Friedrichs frame too: the self-adjoint
+    extensions of one minimal operator differ by finite-rank resolvent
+    perturbations.  A finite one needs the Friedrichs frame.
     """
     fs = None
     if problem.singular_end() is None:
@@ -782,25 +786,21 @@ def morse_index_general(problem: SLProblem, bc,
         fs = fundamental_solution(problem, a, (a, b))
     if chart is None:
         chart = boundary_chart(problem, fs)
-    if chart.friedrichs is None:
-        raise KernelBasisUnavailable("no Friedrichs frame available in this chart")
     Lam = resolve_boundary_condition(problem, bc, chart)
     base = morse_index_dirichlet(problem, delta_schedule, fs)
-    K, F = chart.kernel_trace, chart.friedrichs
-    correction = triple_index(K, F, Lam) + intersection_dim(K, F) - intersection_dim(K, Lam)
-
-    if base.verdict == INFINITE:
-        verdict, reason = INFINITE, None
-    elif base.verdict == UNDETERMINED:
-        verdict, reason = UNDETERMINED, base.reason
-    else:
-        verdict, reason = int(base.verdict + correction), None
-
     diagnostics = dict(base.diagnostics)
     diagnostics["friedrichs_index"] = base.verdict
-    diagnostics["triple_index_correction"] = correction
+    if chart.friedrichs is not None:
+        K, F = chart.kernel_trace, chart.friedrichs
+        diagnostics["triple_index_correction"] = (
+            triple_index(K, F, Lam) + intersection_dim(K, F) - intersection_dim(K, Lam))
+    verdict = base.verdict
+    if verdict not in (INFINITE, UNDETERMINED):
+        if chart.friedrichs is None:
+            raise KernelBasisUnavailable("no Friedrichs frame available in this chart")
+        verdict = int(verdict + diagnostics["triple_index_correction"])
     return IndexReport(
-        command="morse", verdict=verdict, reason=reason,
+        command="morse", verdict=verdict, reason=base.reason,
         conjugate_points=base.conjugate_points,
         assumptions=base.assumptions, diagnostics=diagnostics)
 
@@ -823,11 +823,11 @@ def endpoint_classify(problem: SLProblem, endpoint) -> str:
     side = 0 if endpoint in (0, "a", "left") else 1
     a, b = problem.interval
 
-    if problem.catalog in ("bessel", "bessel_r") and side == 0:
+    if problem.catalog == "bessel" and side == 0:
         # analytic override: both solutions t^(1/2 +- r) are square-integrable
         # near 0 exactly when q < 3/4; the family convention reports limit
         # circle even where the coefficient extends continuously (q = 0)
-        return LIMIT_CIRCLE if problem.params["q"] < 0.75 else LIMIT_POINT
+        return LIMIT_CIRCLE if problem.params["q"] < LIMIT_POINT_Q else LIMIT_POINT
 
     t_end = a if side == 0 else b
     if not np.isfinite(t_end):

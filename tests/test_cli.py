@@ -34,6 +34,21 @@ class TestMorseCommand:
         assert json.loads(out)["verdict"] == "Infinite"
         assert csv.exists()
 
+    @pytest.mark.parametrize("q,code,verdict", [(-10.1196, EXIT_OK, "Infinite"),
+                                                (-1.0, EXIT_UNDETERMINED, UNDETERMINED)])
+    def test_neumann_below_the_threshold_keeps_the_friedrichs_verdict(self, capsys, q, code,
+                                                                      verdict):
+        # below q = -1/4 the chart has no Friedrichs frame, and a verdict that
+        # is not finite holds for every boundary condition
+        _, dirichlet, _ = run_cli(["morse", "--problem", "bessel", "--q", str(q),
+                                   "--bc", "dirichlet"], capsys)
+        got, out, _ = run_cli(["morse", "--problem", "bessel", "--q", str(q),
+                               "--bc", "neumann"], capsys)
+        rep = json.loads(out)
+        assert got == code and rep["verdict"] == verdict
+        assert rep["reason"] == json.loads(dirichlet)["reason"]
+        assert rep["diagnostics"]["friedrichs_index"] == verdict
+
     def test_schedule_too_short_is_error(self, capsys):
         code, _, err = run_cli(["morse", "--problem", "free",
                                 "--delta-schedule", "0.01", "0.001"], capsys)

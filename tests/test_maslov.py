@@ -93,11 +93,40 @@ class TestCrossingForm:
         with pytest.raises(NotACrossing):
             crossing_form(path, neumann_frame(S1), 0.0)
 
-    def test_chart_independence_check_runs(self):
-        path = ccw_line_path(-0.5, 0.5)
-        ref = line_frame(S1, [1.0, 0.0])
-        rng = np.random.default_rng(0)
-        assert crossing_form(path, ref, 0.0, check_rng=rng) == InertiaTriple(1, 0, 0)
+
+class TestRelativeCrossingMatrix:
+    @pytest.mark.parametrize("t0", [0.37, 0.0, 1.0, 0.75e-4, 1.0 - 0.75e-4])
+    def test_rotation_rate_in_closed_form(self, t0):
+        # the Dirichlet line turned clockwise by angle(t) has the crossing
+        # form -angle'(t0) at angle(t0) = 0; t0 = a and b take the one-sided
+        # stencils, and so do the last two, whose step h does not fit centrally
+        def angle(t):
+            s = np.asarray(t) - t0
+            return 2.5 * s + 4.0 * s ** 2 - 3.0 * s ** 3
+        path = LagrangianPath.rotation(dirichlet_frame(S1), angle, 0.0, 1.0)
+        ref = LagrangianPath.constant(dirichlet_frame(S1), 0.0, 1.0)
+        Q = relative_crossing_matrix(ref, path, t0, dirichlet_frame(S1).frame, 1e-4)
+        assert abs(Q[0, 0] + 2.5) < 1e-8
+
+    @pytest.mark.parametrize("n,seed", [(2, 56), (3, 55)])
+    def test_frame_independence(self, n, seed):
+        # turning the frames by a t-dependent orthogonal matrix keeps every
+        # subspace, so the matrix is unchanged
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((n, n))
+        K = 3.0 * (K - K.T)
+        path = LagrangianPath.connecting(*(random_lagrangian(space, rng) for _ in range(2)))
+        turned = LagrangianPath(space, lambda ts: path.frames(ts) @ np.array(
+            [sla.expm(t * K) for t in ts]), 0.0, 1.0)
+        ref = LagrangianPath.constant(random_lagrangian(space, rng), 0.0, 1.0)
+        _, recs = maslov_clm(ref, path)
+        assert recs
+        for r in recs:
+            basis = intersection_basis(ref(r.t), path(r.t), tol=1e-6)
+            Q = relative_crossing_matrix(ref, path, r.t, basis, 1e-4)
+            assert np.allclose(relative_crossing_matrix(ref, turned, r.t, basis, 1e-4), Q,
+                               rtol=0.0, atol=1e-10)
 
 
 class TestMaslovClm:

@@ -1,11 +1,13 @@
 """Fundamental solutions, conjugate points, Morse indices, trace data.
 
 Oracles: closed-form harmonic/free/Bessel solutions; zeros of sin(omega t);
-explicit Neumann/Dirichlet spectra of -d^2/dt^2 - omega^2.
+explicit Neumann/Dirichlet spectra of -d^2/dt^2 - omega^2; the Bessel
+secular function in mpmath at 30 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -529,6 +531,53 @@ class TestMorseIndexGeneral:
                                       chart=chart)
             assert rep.verdict == int(0.0 < -alpha / beta < 1.0), (alpha, beta)
             checked += 1
+
+    @staticmethod
+    def secular_sign_changes(r, alpha, beta):
+        # F(kappa) = alpha G(1-r) (kappa/2)^r I_-r(kappa) + beta G(1+r)
+        # (kappa/2)^-r I_r(kappa) is the value at t = 1 of the lambda =
+        # -kappa^2 solution sqrt(t) (...) that starts as alpha t^(1/2-r) +
+        # beta t^(1/2+r); each sign change on kappa in (1e-6, 1e4), twelve
+        # samples a decade, is a negative eigenvalue
+        with mpmath.workdps(30):
+            r, alpha, beta = (mpmath.mpf(x) for x in (r, alpha, beta))
+            ga, gb = mpmath.gamma(1 - r), mpmath.gamma(1 + r)
+            signs = [mpmath.sign(alpha * ga * (k / 2) ** r * mpmath.besseli(-r, k)
+                                 + beta * gb * (k / 2) ** -r * mpmath.besseli(r, k))
+                     for k in (mpmath.mpf(10) ** (mpmath.mpf(j) / 12) for j in range(-72, 49))]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    @pytest.mark.parametrize("q", [-0.2, 0.1, 0.45, 0.7])
+    def test_bessel_lines_match_secular_function(self, q):
+        # the left line is the trace of alpha t^(1/2-r) + beta t^(1/2+r),
+        # with Dirichlet data at 1.  Draws with a small alpha + beta (an
+        # eigenvalue near 0) or a small alpha (an eigenvalue beyond the
+        # kappa window) are redrawn
+        r = math.sqrt(q + 0.25)
+        prob = make_problem("bessel", q=q)
+        chart = boundary_chart(prob)
+        rng = np.random.default_rng(int(1000 * (q + 1)) + 7)
+        checked = 0
+        while checked < 8:
+            alpha, beta = rng.standard_normal(2)
+            if abs(alpha + beta) < 0.1 * (abs(alpha) + abs(beta)) or abs(alpha) < 0.1 * abs(beta):
+                continue
+
+            def f_data(t):
+                tm, tp = t ** (0.5 - r), t ** (0.5 + r)
+                return alpha * tm + beta * tp, ((0.5 - r) * alpha * tm + (0.5 + r) * beta * tp) / t
+
+            left = line_frame(SymplecticSpace.minus_plus(1, 0), trace_map(prob, f_data, chart)[:2])
+            rep = morse_index_general(prob, direct_sum_frame(left, dirichlet_frame(S1)),
+                                      chart=chart)
+            assert rep.verdict == self.secular_sign_changes(r, alpha, beta), (alpha, beta)
+            checked += 1
+
+    def test_finite_index_needs_a_friedrichs_frame(self):
+        prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
+        chart = sturm.BoundaryChart(prob, boundary_chart(prob).kernel_trace, None)
+        with pytest.raises(KernelBasisUnavailable):
+            morse_index_general(prob, "neumann", chart=chart)
 
     @pytest.mark.parametrize("q", [-0.2, 0.0, 0.3, 0.5])
     def test_bessel_neumann_line(self, q):
