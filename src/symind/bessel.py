@@ -26,8 +26,8 @@ THRESHOLD_Q = -0.25
 LIMIT_POINT_Q = 0.75
 THRESHOLD_TOL = 1e-12
 
-FINITE_MORSE = "FiniteMorse"
-INFINITE_MORSE = "InfiniteMorse"
+FINITE_MORSE = "Finite"
+INFINITE_MORSE = "Infinite"
 THRESHOLD = "Threshold"
 
 
@@ -170,34 +170,31 @@ class BesselClassification:
     fredholm: object          # True / False / None (not established)
 
 
-def classify(problem: BesselMatrixProblem) -> BesselClassification:
-    """Per-eigendirection Morse verdicts against the -1/4 threshold.
+def direction_classes(eigs):
+    """Per-direction Morse verdicts of a limiting spectrum against the -1/4
+    threshold, and the overall verdict.
 
-    The limiting matrix's spectrum decides: above -1/4 the direction has
-    finite Morse index, below it infinite; contact within 1e-12 is reported
-    as Threshold and never silently binned.  The Fredholm flag is True for a
-    zero end whenever the declared tail keeps (R(t) - R(0))/t^2 bounded or
-    the spectrum stays above -1/4; an infinity end with R/t^2 -> 0 is never
-    Fredholm.
+    Above -1/4 a direction has finite Morse index, below it infinite;
+    contact within THRESHOLD_TOL is Threshold and never silently binned.
+    Overall: Infinite if any direction is, else Threshold if any is, else
+    Finite.
+    """
+    per = [THRESHOLD if abs(lam - THRESHOLD_Q) <= THRESHOLD_TOL
+           else FINITE_MORSE if lam > THRESHOLD_Q else INFINITE_MORSE for lam in eigs]
+    overall = next((v for v in (INFINITE_MORSE, THRESHOLD) if v in per), FINITE_MORSE)
+    return per, overall
+
+
+def classify(problem: BesselMatrixProblem) -> BesselClassification:
+    """``direction_classes`` of the limiting matrix's spectrum, and the
+    Fredholm flag: True for a zero end whenever the declared tail keeps
+    (R(t) - R(0))/t^2 bounded or the spectrum stays above -1/4; an infinity
+    end with R/t^2 -> 0 is never Fredholm.
     """
     if problem.tail is None:
         raise TailModelMissing("declare a tail model before classification")
-    limit = problem.tail.limit_matrix(problem.dim)
-    eigs = np.linalg.eigvalsh(limit)
-    per = []
-    for lam in eigs:
-        if abs(lam - THRESHOLD_Q) <= THRESHOLD_TOL:
-            per.append(THRESHOLD)
-        elif lam > THRESHOLD_Q:
-            per.append(FINITE_MORSE)
-        else:
-            per.append(INFINITE_MORSE)
-    if INFINITE_MORSE in per:
-        overall = INFINITE_MORSE
-    elif THRESHOLD in per:
-        overall = THRESHOLD
-    else:
-        overall = FINITE_MORSE
+    eigs = np.linalg.eigvalsh(problem.tail.limit_matrix(problem.dim))
+    per, overall = direction_classes(eigs)
 
     if problem.end == INFINITY_END:
         fredholm = False

@@ -25,13 +25,11 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDETERMINED = 2
 
-_CATALOG_NAMES = ("free", "harmonic", "bessel", "bessel_r", "mathieu", "nbody-asymptotic")
-
 
 def _resolve_problem(name: str, params: dict, dim: int | None = None):
-    from .catalog import load_problem_csv, make_problem
+    from .catalog import catalog_list, load_problem_csv, make_problem
 
-    if name in _CATALOG_NAMES:
+    if name in catalog_list():
         return make_problem(name, **params)
     path = Path(name)
     if not path.exists():
@@ -89,15 +87,15 @@ def _problem_params(args) -> dict:
 
 
 def cmd_morse(args) -> int:
-    from .sturm import BoundaryCondition, morse_index_dirichlet, morse_index_general
+    from .sturm import (DELTA_SCHEDULE, BoundaryCondition, morse_index_dirichlet,
+                        morse_index_general)
 
     problem = _resolve_problem(args.problem, _problem_params(args), args.dim)
-    schedule = tuple(args.delta_schedule) if args.delta_schedule else None
-    kwargs = {} if schedule is None else {"delta_schedule": schedule}
+    schedule = tuple(args.delta_schedule or DELTA_SCHEDULE)
     if args.bc in (None, "dirichlet", "friedrichs"):
-        rep = morse_index_dirichlet(problem, **kwargs)
+        rep = morse_index_dirichlet(problem, schedule)
     else:
-        rep = morse_index_general(problem, BoundaryCondition(args.bc), **kwargs)
+        rep = morse_index_general(problem, BoundaryCondition(args.bc), schedule)
     rep.provenance.update(_provenance(args))
     rows = [[t, m] for t, m in rep.conjugate_points]
     return _emit(rep, args, rows, "t,multiplicity")
@@ -258,7 +256,6 @@ def cmd_nbody(args) -> int:
         cfg = load_configuration(str(path))
         cc = central_configuration(cfg.system, cfg)
     rep = asymptotic_morse(cc, args.motion)
-    rep.command = "nbody"
     rep.diagnostics["cc_residual"] = cc.residual
     rep.provenance.update(_provenance(args))
     spectrum = rep.diagnostics["bbar_spectrum"]

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import LIMIT_POINT_Q, THRESHOLD_Q, THRESHOLD_TOL
-from .catalog import make_problem
+from .bessel import INFINITE_MORSE, LIMIT_POINT_Q, THRESHOLD, direction_classes
 from .errors import (
     CollisionConfiguration,
     ConfigInvalid,
@@ -59,9 +58,9 @@ class MassSystem:
 
     def __post_init__(self):
         if any(m <= 0 for m in self.masses):
-            raise ValueError("all masses must be positive")
+            raise ConfigInvalid("all masses must be positive")
         if self.d not in (2, 3):
-            raise ValueError("ambient dimension must be 2 or 3")
+            raise ConfigInvalid("ambient dimension must be 2 or 3")
 
     @property
     def n_bodies(self) -> int:
@@ -254,7 +253,7 @@ def bbar_spectrum(cc: CentralConfig) -> np.ndarray:
 def _motion_name(motion: str) -> str:
     key = str(motion).replace("_", "").replace(" ", "").lower()
     if key not in _MOTIONS:
-        raise ValueError(f"unknown motion kind {motion!r}")
+        raise ConfigInvalid(f"unknown motion kind {motion!r}")
     return _MOTIONS[key]
 
 
@@ -274,53 +273,48 @@ def _limiting_problem(eigs, motion: str, **params) -> SLProblem:
                      params=params)
 
 
-def asymptotic_morse_from_spectrum(eigs, motion, command: str = "nbody") -> IndexReport:
-    """Classification and (when finite) the conjugate-point index of the
-    limiting diagonalized Bessel-type system with the given Bbar spectrum."""
+def asymptotic_morse_from_spectrum(eigs, motion) -> IndexReport:
+    """Classification of each Bbar eigendirection by ``direction_classes``
+    and, when every direction is finite, the sum of the directions'
+    conjugate-point indices, each the ``morse_index_dirichlet`` verdict of
+    its scalar limiting problem.  A hyperbolic motion is finite in every
+    direction; its sum is reported as ``truncated_count`` and lists no
+    points.  A direction whose index is not an integer makes the verdict
+    Undetermined, with that direction's reason."""
     eigs = np.sort(np.asarray(eigs, dtype=float))
     motion = _motion_name(motion)
-    per_direction = []
-    for lam in eigs:
-        if abs(lam - THRESHOLD_Q) <= THRESHOLD_TOL:
-            per_direction.append("Threshold")
-        elif lam > THRESHOLD_Q:
-            per_direction.append("Finite")
-        else:
-            per_direction.append("Infinite")
-
+    per_direction, overall = direction_classes(eigs)
     diagnostics = {"bbar_spectrum": eigs.tolist(),
                    "per_direction": per_direction,
                    "motion": motion}
     assumptions = {"limiting_model": "diagonalized Bessel-type system",
                    "H3_bounded_below": "assumed, not verified"}
 
-    if motion == HYPERBOLIC:
-        # t^-3 decay is subcritical at infinity in every direction: the index
-        # is always finite; the truncated count below is a diagnostic only
-        total = 0
-        for lam in eigs:
-            rep = morse_index_dirichlet(_limiting_problem([lam], HYPERBOLIC))
-            total += rep.verdict if isinstance(rep.verdict, int) else 0
-        diagnostics["truncated_count"] = total
-        return IndexReport(command=command, verdict=int(total),
+    # t^-3 decay is subcritical at infinity in every direction, so a
+    # hyperbolic index is finite whatever the spectrum
+    if motion != HYPERBOLIC and overall == INFINITE_MORSE:
+        return IndexReport(command="nbody", verdict=INFINITE,
                            assumptions=assumptions, diagnostics=diagnostics)
-
-    if "Infinite" in per_direction:
-        return IndexReport(command=command, verdict=INFINITE,
-                           assumptions=assumptions, diagnostics=diagnostics)
-    if "Threshold" in per_direction:
-        return IndexReport(command=command, verdict=UNDETERMINED,
+    if motion != HYPERBOLIC and overall == THRESHOLD:
+        return IndexReport(command="nbody", verdict=UNDETERMINED,
                            reason="an eigendirection touches the -1/4 threshold exactly",
                            assumptions=assumptions, diagnostics=diagnostics)
 
-    total = 0
-    points = []
+    total, points = 0, []
     for lam in eigs:
-        rep = morse_index_dirichlet(make_problem("bessel", q=lam))
-        total += rep.verdict if isinstance(rep.verdict, int) else 0
+        rep = morse_index_dirichlet(_limiting_problem([lam], motion))
+        if not isinstance(rep.verdict, int):
+            return IndexReport(
+                command="nbody", verdict=UNDETERMINED,
+                reason=f"the direction of Bbar eigenvalue {lam:.6g} has no finite "
+                       f"index: {rep.reason or rep.verdict}",
+                assumptions=assumptions, diagnostics=diagnostics)
+        total += rep.verdict
         points.extend(rep.conjugate_points)
-    return IndexReport(command=command, verdict=int(total),
-                       conjugate_points=points,
+    if motion == HYPERBOLIC:
+        diagnostics["truncated_count"] = total
+        points = []
+    return IndexReport(command="nbody", verdict=total, conjugate_points=points,
                        assumptions=assumptions, diagnostics=diagnostics)
 
 

@@ -525,46 +525,31 @@ def _schedule_verdict(counts):
 
 
 def truncated_span(problem: SLProblem, delta: float):
-    """The regular end of a problem with one singular end, and the interval
-    cut delta short of the singular end."""
+    """The regular end of a problem and the interval cut delta short of its
+    singular end; a problem regular at both ends keeps (a, b), anchored at a."""
     a, b = problem.interval
-    if problem.singular_end() == 0:
+    side = problem.singular_end()
+    if side == 0:
         return b, (a + delta, b)
-    return a, (a, b - delta)
+    return a, (a, b - delta if side == 1 else b)
 
 
 def morse_index_dirichlet(problem: SLProblem, delta_schedule=DELTA_SCHEDULE,
                           fs: FundamentalSolution | None = None) -> IndexReport:
-    """Morse index with Dirichlet data at the regular end and the Friedrichs
+    """Morse index with Dirichlet data at a regular end and the Friedrichs
     condition at a limit-circle singular end: the stabilized conjugate-point
-    count over interval truncations toward the singular endpoint.  On a
-    problem regular at both ends, ``fs`` is the fundamental solution from a
-    on (a, b), built here when None."""
+    count over the ``truncated_span`` windows of the schedule.  On a problem
+    regular at both ends every window is (a, b), so the counts agree and the
+    verdict is that count.  ``fs`` is the fundamental solution from the
+    regular end on the finest window, built here when None."""
     schedule = tuple(sorted({float(d) for d in delta_schedule}, reverse=True))
     if len(schedule) < 4:
         raise ScheduleTooShort("need at least four truncation offsets")
 
-    a, b = problem.interval
-    side = problem.singular_end()
-    assumptions = {"H3_bounded_below": "assumed, not verified",
-                   "H4_fredholm_minimal": "assumed, not verified"}
-
-    if side is None:
-        if fs is None:
-            fs = fundamental_solution(problem, a, (a, b))
-        pts = conjugate_points(problem, (a, b), anchor=a, fs=fs)
-        count = sum(m for _, m in pts)
-        return IndexReport(
-            command="morse", verdict=int(count),
-            conjugate_points=list(pts), assumptions=assumptions,
-            diagnostics={"delta_trace": [[d, count] for d in schedule],
-                         "max_drift": fs.max_drift(),
-                         "integrator_steps": dict(fs.steps),
-                         "truncation": "none (regular problem)"})
-
     windows = [truncated_span(problem, d)[1] for d in schedule]
     anchor, finest = truncated_span(problem, schedule[-1])
-    fs = fundamental_solution(problem, anchor, finest)
+    if fs is None:
+        fs = fundamental_solution(problem, anchor, finest)
     pts = conjugate_points(problem, finest, anchor=anchor, fs=fs)
     counts = [sum(m for t, m in pts if lo < t < hi) for lo, hi in windows]
     verdict, reason = _schedule_verdict(counts)
@@ -573,13 +558,17 @@ def morse_index_dirichlet(problem: SLProblem, delta_schedule=DELTA_SCHEDULE,
                    "max_drift": fs.max_drift(),
                    "integrator_steps": dict(fs.steps)}
     qval = problem.params.get("q")
-    if problem.catalog == "bessel" and qval is not None and qval < THRESHOLD_Q:
+    if problem.singular_end() is None:
+        diagnostics["truncation"] = "none (regular problem)"
+    elif problem.catalog == "bessel" and qval is not None and qval < THRESHOLD_Q:
         nu = math.sqrt(THRESHOLD_Q - qval)
         diagnostics["expected_growth_per_decade"] = nu * math.log(10.0) / math.pi
 
     return IndexReport(
         command="morse", verdict=verdict, reason=reason,
-        conjugate_points=list(pts), assumptions=assumptions,
+        conjugate_points=list(pts),
+        assumptions={"H3_bounded_below": "assumed, not verified",
+                     "H4_fredholm_minimal": "assumed, not verified"},
         diagnostics=diagnostics)
 
 

@@ -13,6 +13,7 @@ from symind.bessel import (
     BesselParam,
     TailModel,
     classify,
+    direction_classes,
     friedrichs_trace_frame,
     principal_coefficients,
     q_of_r,
@@ -139,6 +140,21 @@ class TestClassify:
         prob = BesselMatrixProblem(1, lambda t: -0.25 * np.ones((1, 1)), "zero",
                                    TailModel("constant", -0.25))
         assert classify(prob).overall == THRESHOLD
+
+    @pytest.mark.parametrize("lam, verdict", [(-0.25 + 2e-12, FINITE_MORSE),
+                                              (-0.25 - 2e-12, INFINITE_MORSE),
+                                              (-0.25, THRESHOLD),
+                                              (-0.25 + 5e-13, THRESHOLD)])
+    def test_threshold_band(self, lam, verdict):
+        assert direction_classes([lam]) == ([verdict], verdict)
+
+    @pytest.mark.parametrize("eigs, overall", [([0.0, 1.0], FINITE_MORSE),
+                                               ([-0.25, 1.0], THRESHOLD),
+                                               ([-1.0, -0.25, 1.0], INFINITE_MORSE),
+                                               ([1.0, -1.0], INFINITE_MORSE)])
+    def test_precedence(self, eigs, overall):
+        per, got = direction_classes(eigs)
+        assert len(per) == len(eigs) and got == overall
 
     def test_missing_tail_model(self):
         prob = BesselMatrixProblem(1, lambda t: np.zeros((1, 1)), "zero", None)

@@ -295,6 +295,23 @@ class TestNbodyCommand:
         assert code == EXIT_ERROR
         assert "ConfigInvalid" in err
 
+    @pytest.mark.parametrize("argv, data", [
+        (["--config", "two-body", "--motion", "bogus"], None),
+        (["--config", "{path}"], {"masses": [1, -1], "positions": [[0.6, 0, 0], [-0.6, 0, 0]],
+                                  "dimension": 3}),
+        (["--config", "{path}"], {"masses": [1, 1], "positions": [[0.6, 0, 0, 0],
+                                                                  [-0.6, 0, 0, 0]],
+                                  "dimension": 4}),
+        (["--config", "two-body", "--dimension", "4"], None)])
+    def test_invalid_input_is_config_invalid(self, capsys, tmp_path, argv, data):
+        # each exited 1 with an untyped ValueError before
+        cfg = tmp_path / "config.json"
+        if data is not None:
+            cfg.write_text(json.dumps(data))
+        code, _, err = run_cli(["nbody"] + [a.format(path=cfg) for a in argv], capsys)
+        assert code == EXIT_ERROR
+        assert "symind.ConfigInvalid" in err
+
 
 class TestCatalogCommand:
     def test_list(self, capsys):
@@ -326,6 +343,14 @@ class TestRunConfig:
                                capsys)
         assert code == EXIT_ERROR
         assert "ConfigInvalid" in err
+
+    def test_json_problem_file_is_config_invalid(self, capsys, tmp_path):
+        # only CSV coefficient tables are read
+        path = tmp_path / "x.json"
+        path.write_text("{}")
+        code, _, err = run_cli(["morse", "--problem", str(path)], capsys)
+        assert code == EXIT_ERROR
+        assert "symind.ConfigInvalid" in err
 
     def test_dispatch_from_json(self, capsys, tmp_path):
         report = tmp_path / "report.json"

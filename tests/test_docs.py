@@ -1,7 +1,9 @@
 """The README's module table names only what the modules define, so a name
-deleted from the code cannot linger in the table."""
+deleted from the code cannot linger in the table; the README and the
+run-config schema list the catalog as ``catalog_list`` does."""
 
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -9,7 +11,9 @@ import pytest
 
 from symind.catalog import catalog_list
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+SCHEMA = ROOT / "src" / "symind" / "schemas" / "runconfig.schema.json"
 ROWS = dict(re.findall(r"^\| `(symind\.\w+)`\s*\| (.*) \|$", README, re.M))
 
 
@@ -28,3 +32,9 @@ def test_module_row_names_exist(module):
 
 def test_catalog_row_lists_the_catalog():
     assert sorted(backticked("symind.catalog")) == sorted(catalog_list())
+
+
+def test_run_config_schema_lists_the_catalog():
+    name = json.loads(SCHEMA.read_text())["properties"]["problem"]["properties"]["name"]
+    listed = re.search(r"catalog name \(([^)]*)\)", name["description"]).group(1)
+    assert sorted(listed.split(", ")) == sorted(catalog_list())

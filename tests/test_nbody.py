@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import symind.nbody as nbody
 from symind.errors import CollisionConfiguration, NotNormalized
 from symind.nbody import (
     CentralConfig,
@@ -22,6 +23,7 @@ from symind.nbody import (
     MassSystem,
     asymptotic_morse,
     asymptotic_morse_from_spectrum,
+    asymptotic_problem,
     bbar_matrix,
     bbar_spectrum,
     central_config_residual,
@@ -32,9 +34,11 @@ from symind.nbody import (
     lagrange3,
     load_configuration,
     potential,
+    seed_central_config,
     two_body,
 )
-from symind.report import INFINITE, UNDETERMINED
+from symind.report import INFINITE, UNDETERMINED, IndexReport
+from symind.sturm import morse_index_dirichlet
 
 
 def random_config(rng, n=3, d=3):
@@ -372,6 +376,24 @@ class TestAsymptoticMorse:
         for spectrum in ([0.0, -0.5, -3.0], [0.0, 4.0 / 9.0]):
             rep = asymptotic_morse_from_spectrum(spectrum, "hyperbolic")
             assert isinstance(rep.verdict, int)
+
+    @pytest.mark.parametrize("motion", ["total-collision", "hyperbolic"])
+    def test_undetermined_direction_is_not_counted(self, monkeypatch, motion):
+        # a direction without an integer index must not count as 0
+        monkeypatch.setattr(nbody, "morse_index_dirichlet", lambda problem: IndexReport(
+            command="morse", verdict=UNDETERMINED, reason="stub reason"))
+        rep = asymptotic_morse_from_spectrum([0.0, 4.0 / 9.0], motion)
+        assert rep.verdict == UNDETERMINED
+        assert "stub reason" in rep.reason
+
+    @pytest.mark.parametrize("config", ["two-body", "lagrange3"])
+    def test_coupled_system_matches_the_direction_sum(self, config):
+        # second route: the coupled limiting system in one Dirichlet scan
+        coupled = morse_index_dirichlet(asymptotic_problem(config, d=2))
+        split = asymptotic_morse(seed_central_config(config, d=2), "total-collision")
+        assert isinstance(split.verdict, int)
+        assert coupled.verdict == split.verdict
+        assert sorted(coupled.conjugate_points) == sorted(split.conjugate_points)
 
 
 class TestCatalogHook:

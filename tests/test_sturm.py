@@ -51,6 +51,7 @@ from symind.sturm import (
     morse_index_general,
     resolve_boundary_condition,
     trace_map,
+    truncated_span,
 )
 
 S1 = SymplecticSpace.standard(1)
@@ -331,6 +332,25 @@ class TestMorseIndexDirichlet:
         rep = morse_index_dirichlet(make_problem("bessel", q=q))
         assert rep.verdict == 0
         assert all(c == 0 for _, c in rep.diagnostics["delta_trace"])
+
+    def test_regular_problem_keeps_the_whole_interval(self):
+        # every window of the schedule is (a, b), so the counts agree
+        assert truncated_span(make_problem("harmonic"), 1e-3) == (0.0, (0.0, 1.0))
+        rep = morse_index_dirichlet(make_problem("harmonic", omega=10.0))
+        assert [c for _, c in rep.diagnostics["delta_trace"]] == [3] * 6
+        assert rep.diagnostics["truncation"] == "none (regular problem)"
+
+    def test_passed_fundamental_solution_is_used(self, monkeypatch):
+        problem = make_problem("bessel", q=0.2)
+        anchor, finest = truncated_span(problem, sturm.DELTA_SCHEDULE[-1])
+        fs = fundamental_solution(problem, anchor, finest)
+        built = morse_index_dirichlet(problem)
+        calls = []
+        monkeypatch.setattr(sturm, "fundamental_solution",
+                            lambda *args, **kw: calls.append(args) or fs)
+        rep = morse_index_dirichlet(problem, fs=fs)
+        assert calls == []
+        assert rep.to_json() == built.to_json()
 
     def test_integrator_steps_reported(self):
         rep = morse_index_dirichlet(make_problem("bessel", q=-0.25 - np.pi ** 2))
