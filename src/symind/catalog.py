@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .bessel import LIMIT_POINT_Q, q_of_r
-from .errors import UnknownCatalogEntry
+from .errors import ConfigInvalid, UnknownCatalogEntry
 from .sturm import LIMIT_CIRCLE, LIMIT_POINT, REGULAR, SLProblem
 
 _DESCRIPTIONS = {
@@ -49,8 +49,15 @@ def catalog_describe(name: str) -> str:
         raise UnknownCatalogEntry(f"no catalog entry named {name!r}") from None
 
 
+def _required(params: dict, key: str, name: str) -> float:
+    if key not in params:
+        raise ConfigInvalid(f"catalog problem {name!r} needs the parameter {key!r}")
+    return float(params.pop(key))
+
+
 def make_problem(name: str, **params) -> SLProblem:
-    """Instantiate a catalog problem; unknown names raise UnknownCatalogEntry."""
+    """Instantiate a catalog problem; unknown names raise UnknownCatalogEntry,
+    and a missing required parameter ConfigInvalid."""
     if name == "free":
         interval = tuple(params.pop("interval", (0.0, 1.0)))
         return SLProblem(1, interval, 1.0, 0.0, 0.0, catalog="free", params=params)
@@ -63,9 +70,9 @@ def make_problem(name: str, **params) -> SLProblem:
 
     if name in ("bessel", "bessel_r"):
         if name == "bessel_r":
-            q = q_of_r(float(params.pop("r")))
+            q = q_of_r(_required(params, "r", name))
         else:
-            q = float(params.pop("q"))
+            q = _required(params, "q", name)
         interval = tuple(params.pop("interval", (0.0, 1.0)))
         kind0 = LIMIT_CIRCLE if q < LIMIT_POINT_Q else LIMIT_POINT
         return SLProblem(

@@ -366,10 +366,9 @@ _SEEDS = {"two-body": two_body, "lagrange3": lagrange3, "euler3": euler3}
 
 
 def seed_central_config(config_id: str, **kwargs) -> CentralConfig:
-    try:
-        return _SEEDS[config_id](**kwargs)
-    except KeyError:
-        raise ValueError(f"unknown central-configuration seed {config_id!r}") from None
+    if config_id not in _SEEDS:
+        raise ConfigInvalid(f"unknown central-configuration seed {config_id!r}")
+    return _SEEDS[config_id](**kwargs)
 
 
 def load_configuration(source) -> Configuration:

@@ -224,16 +224,47 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def _step_matrices(problem: SLProblem, s, t_from: np.ndarray, t_to: np.ndarray) -> np.ndarray:
+def _log_time(problem: SLProblem, t0: float, far: float) -> bool:
+    """Whether the steps t0 -> far are taken in sigma = ln t: on a span that
+    stays off a declared singular left end, where t^2 R tends to a limit
+    matrix D and the log-time generator tends to a constant."""
+    return min(t0, far) > 0 and problem.singular_end() == 0
+
+
+def _step_matrices(problem: SLProblem, s, t_from: np.ndarray, t_to: np.ndarray,
+                   log: bool) -> np.ndarray:
     """exp(Omega) of the Magnus step t_from[k] -> t_to[k] for every k and
     every parameter value: (len(s), k, m, m) for a 1-d array s, and
-    (1, k, m, m) when s is None."""
-    h = t_to - t_from
-    m = 2 * problem.dim
-    ts = (t_from[:, None] + h[:, None] * _GAUSS).ravel()
-    A = (problem.space.form @ hamiltonians(problem, ts, s)).reshape(-1, 3, m, m)
+    (1, k, m, m) when s is None.
+
+    With ``log`` the step is taken in sigma = ln t, on w = S(t) z with
+    S(t) = diag(t^(1/2) I, t^(-1/2) I).  S is symplectic, so w' = J H~ w in
+    sigma with H~ = t S^-1 H S^-1 + K, K = [[0, I/2], [I/2, 0]]; in blocks
+    H~ = [[H11, t H12 + I/2], [t H21 + I/2, t^2 H22]].  For R = D / t^2 and
+    P = I, Q = 0 this H~ is constant, so each step is exact.  The step is
+    returned in (u, x) as S(t_to)^-1 exp(Omega) S(t_from).
+    """
+    n, m = problem.dim, 2 * problem.dim
+    warp = np.log if log else np.asarray
+    start = warp(t_from)
+    h = warp(t_to) - start
+    ts = (start[:, None] + h[:, None] * _GAUSS).ravel()
+    if log:
+        ts = np.exp(ts)
+    H = hamiltonians(problem, ts, s)
+    if log:
+        t = ts[:, None, None]
+        half = 0.5 * np.eye(n)
+        H[..., :n, n:] = t * H[..., :n, n:] + half
+        H[..., n:, :n] = t * H[..., n:, :n] + half
+        H[..., n:, n:] *= t * t
+    A = (problem.space.form @ H).reshape(-1, 3, m, m)
     K = len(A) // len(h)
-    return _expm(_magnus_exponents(A, np.concatenate([h] * K))).reshape(K, len(h), m, m)
+    E = _expm(_magnus_exponents(A, np.concatenate([h] * K))).reshape(K, len(h), m, m)
+    if log:
+        root = np.repeat([0.5, -0.5], n)
+        E = E * (t_to[:, None] ** -root)[:, :, None] * (t_from[:, None] ** root)[:, None, :]
+    return E
 
 
 def _chain(E: np.ndarray) -> np.ndarray:
@@ -261,19 +292,24 @@ def _chain(E: np.ndarray) -> np.ndarray:
 class FundamentalSolution:
     """gamma(t) with gamma(t0) = I by a sixth-order Magnus integrator.
 
-    Each direction away from t0 starts from one grid of INITIAL_STEPS steps,
-    geometric when the span hugs a coordinate singularity at 0 and linear
-    otherwise.  Every step is compared with its two halves, and the halves
-    are kept.  Refinement stops once the Richardson estimate of the kept
-    matrices' error, relative to max(1, max|M|), is at most ``tol`` at every
-    node; until then the steps whose own estimate exceeds ``tol`` times their
-    share of the span (in log-time on a geometric grid), and machine epsilon,
-    are split, so only the stretches that need it get shorter steps.  A step
-    that would have to shrink below 2^-MAX_DEPTH of the span raises
-    StepSizeUnderflow.  Every step is the exponential of a Hamiltonian
-    matrix, so the flow is symplectic to roundoff; the symplectic residual is
-    logged at every node and checked against the drift budget.  Evaluation
-    between nodes is one partial Magnus step from the node on the base-point
+    Each direction away from t0 is stepped in one coordinate sigma, recorded
+    in ``coordinates``: "log-time" (sigma = ln t, see ``_step_matrices``) on
+    a span that stays off a declared singular left end, "t" (sigma = t)
+    otherwise.  Toward a Bessel-type end t^2 R -> D the log-time generator
+    tends to a constant, and for R = D / t^2 it is one, so every step is
+    exact; constant-coefficient problems are exact in t instead.  Each
+    direction starts from INITIAL_STEPS steps uniform in sigma.  Every step
+    is compared with its two halves, and the halves are kept.  Refinement
+    stops once the Richardson estimate of the kept matrices' error, relative
+    to max(1, max|M|), is at most ``tol`` at every node; until then the steps
+    whose own estimate exceeds ``tol`` times their share of the span in
+    sigma, and machine epsilon, are split, so only the stretches that need
+    it get shorter steps.  A step that would have to shrink below
+    2^-MAX_DEPTH of the span raises StepSizeUnderflow.  Every step is the
+    exponential of a Hamiltonian matrix, so the flow is symplectic to
+    roundoff; the symplectic residual is logged at every node and checked
+    against the drift budget.  Evaluation between nodes is one partial
+    Magnus step, in the branch's coordinate, from the node on the base-point
     side, batched over all requested instants by ``matrices``.
 
     The refinement loop (``_integrate``) carries a leading axis of parameter
@@ -304,20 +340,26 @@ class FundamentalSolution:
         self.drift_log: list = []
         self.steps: dict = {}            # accepted Magnus steps per direction
         self._s = None if s is None else np.array([s], dtype=float)
-        self._branches = {}              # direction -> (direction * nodes, matrices)
+        self.coordinates: dict = {}      # "log-time" or "t" per direction
+        self._branches = {}              # direction -> (direction * nodes, matrices, log)
         for direction, far, name in ((1, d, "forward"), (-1, c, "backward")):
             if far != self.t0:
                 nodes, M, res = self._integrate(problem, self.t0, far, self._s, tol, drift_budget)
                 self.drift_log.extend(zip(nodes[1:].tolist(), res[0, 1:].tolist()))
-                self._branches[direction] = (direction * nodes, M[0])
+                log = _log_time(problem, self.t0, far)
+                self._branches[direction] = (direction * nodes, M[0], log)
                 self.steps[name] = len(nodes) - 1
+                self.coordinates[name] = "log-time" if log else "t"
 
     @classmethod
     @np.errstate(over="ignore", invalid="ignore")      # coarse steps may overflow
     def _integrate(cls, problem: SLProblem, t0: float, far: float, s, tol: float,
                    drift_budget: float):
         """The refinement from t0 to far for every value of the 1-d array s
-        (one member when s is None) on one shared step grid.
+        (one member when s is None) on one shared step grid, uniform in
+        ln t when ``_log_time`` holds for the span and in t otherwise; the
+        grid, its bisection and each step's share of the span are all taken
+        in that coordinate.
 
         Returns the nodes (k + 1,), the flow at them (K, k + 1, m, m) and the
         scale-free drift residuals (K, k + 1).  The Richardson estimate is
@@ -326,8 +368,8 @@ class FundamentalSolution:
         name the first member that fails them.
         """
         lo, hi = sorted((t0, far))
-        geometric = lo > 0 and hi / lo > 50.0
-        warp = np.log if geometric else np.asarray     # steps are uniform in warp(t)
+        log = _log_time(problem, t0, far)
+        warp = np.log if log else np.asarray     # steps are uniform in warp(t)
         width = abs(float(warp(far) - warp(t0)))
         m = 2 * problem.dim
 
@@ -336,17 +378,17 @@ class FundamentalSolution:
 
         def bisect(seg):
             """(start, mid, end) of the steps seg[k, 0] -> seg[k, 1]."""
-            mid = np.sqrt(seg[:, 0] * seg[:, 1]) if geometric else seg.mean(axis=1)
+            mid = np.sqrt(seg[:, 0] * seg[:, 1]) if log else seg.mean(axis=1)
             return np.column_stack([seg[:, 0], mid, seg[:, 1]])
 
         def exponentials(seg, pairs):
             """exp(Omega) of the steps seg[:, i] -> seg[:, j] for every (i, j)
             in pairs, in one batch, stacked as (K, len(seg), len(pairs), m, m)."""
             i, j = np.array(pairs).T
-            E = _step_matrices(problem, s, seg[:, i].T.ravel(), seg[:, j].T.ravel())
+            E = _step_matrices(problem, s, seg[:, i].T.ravel(), seg[:, j].T.ravel(), log)
             return np.stack(np.split(E, len(pairs), axis=1), axis=2)
 
-        grid = (np.geomspace if geometric else np.linspace)(t0, far, cls.INITIAL_STEPS + 1)
+        grid = (np.geomspace if log else np.linspace)(t0, far, cls.INITIAL_STEPS + 1)
         seg = bisect(np.column_stack([grid[:-1], grid[1:]]))
         E = exponentials(seg, [(0, 2), (0, 1), (1, 2)])      # whole steps and their halves
         K = E.shape[0]
@@ -409,13 +451,14 @@ class FundamentalSolution:
         m = 2 * self.problem.dim
         out = np.empty((len(ts), m, m))
         out[ts == self.t0] = np.eye(m)
-        for direction, (keys, mats) in self._branches.items():
+        for direction, (keys, mats, log) in self._branches.items():
             sel = np.flatnonzero(direction * (ts - self.t0) > 0)
             k = np.searchsorted(keys, direction * ts[sel], side="right") - 1
             base, M = direction * keys[k], mats[k]
             off = base != ts[sel]
             if off.any():
-                M[off] = _step_matrices(self.problem, self._s, base[off], ts[sel][off])[0] @ M[off]
+                M[off] = _step_matrices(self.problem, self._s, base[off], ts[sel][off],
+                                        log)[0] @ M[off]
             out[sel] = M
         return out
 
@@ -556,7 +599,8 @@ def morse_index_dirichlet(problem: SLProblem, delta_schedule=DELTA_SCHEDULE,
 
     diagnostics = {"delta_trace": [[d, c] for d, c in zip(schedule, counts)],
                    "max_drift": fs.max_drift(),
-                   "integrator_steps": dict(fs.steps)}
+                   "integrator_steps": dict(fs.steps),
+                   "integrator_coordinates": dict(fs.coordinates)}
     qval = problem.params.get("q")
     if problem.singular_end() is None:
         diagnostics["truncation"] = "none (regular problem)"

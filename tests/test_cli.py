@@ -55,6 +55,13 @@ class TestMorseCommand:
         assert code == EXIT_ERROR
         assert "ScheduleTooShort" in err
 
+    @pytest.mark.parametrize("problem,param", [("bessel", "'q'"), ("bessel_r", "'r'")])
+    def test_missing_catalog_parameter_is_config_invalid(self, capsys, problem, param):
+        code, _, err = run_cli(["morse", "--problem", problem], capsys)
+        assert code == EXIT_ERROR
+        assert "symind.ConfigInvalid" in err and param in err
+        assert "Traceback" not in err
+
 
 class TestBesselCommand:
     def test_zero_sequence_csv(self, capsys, tmp_path):

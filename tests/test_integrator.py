@@ -4,22 +4,34 @@ one-instant lookup.
 
 Oracles: a Mathieu monodromy integrated by mpmath's Taylor-series ODE solver
 (Mathieu has no closed form); the Airy functions Ai(-t), Bi(-t) over a span of
-about 1200 oscillations.  Property: M^T J M = J to roundoff for random smooth
-Hamiltonians in dimensions 1 to 3, on and between grid nodes.
+about 1200 oscillations; sqrt(t) J_nu(kappa t), sqrt(t) Y_nu(kappa t) toward a
+Bessel-type end, where the steps are taken in log-time.  Property:
+M^T J M = J to roundoff for random smooth Hamiltonians in dimensions 1 to 3,
+on and between grid nodes.
 """
 
+import dataclasses
 import functools
 import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import airy
+from scipy.special import airy, jv, jvp, yv, yvp
 
 from symind.catalog import make_problem
 from symind.core import SymplecticSpace
-from symind.sturm import SLProblem, fundamental_solution
+from symind.sturm import (
+    LIMIT_CIRCLE,
+    LIMIT_POINT,
+    REGULAR,
+    FundamentalSolution,
+    SLProblem,
+    fundamental_solution,
+    morse_index_dirichlet,
+)
 
 
 def _scaled_residual(M, J):
@@ -60,6 +72,65 @@ class TestLongSpan:
             expected = Z(t) @ Z0inv
             scale = max(1.0, float(np.max(np.abs(expected))))
             assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-8 * scale, t
+
+
+class TestLogTime:
+    @pytest.mark.parametrize("problem", [
+        make_problem("bessel", q=0.3),
+        make_problem("bessel", q=-2.0),
+        make_problem("nbody-asymptotic", config_id="two-body"),
+    ], ids=["bessel-0.3", "bessel-2", "two-body"])
+    def test_bessel_window_takes_one_pass(self, problem):
+        # toward t^2 R = D the log-time generator is constant, so the first
+        # pass (the initial steps, each halved) passes the Richardson check
+        diag = morse_index_dirichlet(problem).diagnostics
+        assert diag["integrator_steps"] == {"backward": 2 * FundamentalSolution.INITIAL_STEPS}
+        assert diag["integrator_coordinates"] == {"backward": "log-time"}
+
+    @pytest.mark.parametrize("q,kappa2", [(0.3, 5.0), (0.3, 400.0), (2.0, 50.0)])
+    def test_non_constant_generator(self, q, kappa2):
+        # -x'' + (q / t^2 - kappa^2) x = 0 has the solutions sqrt(t) Z_nu(kappa t),
+        # nu^2 = q + 1/4; in log-time kappa^2 t^2 varies along the span
+        nu, kappa = math.sqrt(q + 0.25), math.sqrt(kappa2)
+        end = LIMIT_CIRCLE if q < 0.75 else LIMIT_POINT
+        prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, lambda t: q / t ** 2 - kappa2,
+                         endpoints=(end, REGULAR))
+        fs = fundamental_solution(prob, 1.0, (1e-7, 1.0))
+        assert fs.coordinates == {"backward": "log-time"}
+
+        def Z(t):
+            root, z = math.sqrt(t), kappa * t
+            return np.array([[f(nu, z) / (2.0 * root) + root * kappa * fp(nu, z)
+                              for f, fp in ((jv, jvp), (yv, yvp))],
+                             [root * f(nu, z) for f in (jv, yv)]])
+
+        Z1inv = np.linalg.inv(Z(1.0))
+        nodes = [t for t, _ in fs.drift_log]
+        for t in nodes[::7] + list(np.geomspace(1.3e-7, 0.97, 17)):
+            expected = Z(t) @ Z1inv
+            scale = max(1.0, float(np.max(np.abs(expected))))
+            assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-9 * scale, t
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_general_coefficients_agree_with_t(self, dim):
+        # P, Q and R all enter the log-time generator; declaring the left
+        # end singular changes the coordinate, not the flow
+        problem = _random_problem(dim, np.random.default_rng(dim))
+        declared = dataclasses.replace(problem, endpoints=(LIMIT_CIRCLE, REGULAR))
+        in_t = fundamental_solution(problem, 1.0, (0.05, 1.0))
+        in_log = fundamental_solution(declared, 1.0, (0.05, 1.0))
+        assert (in_t.coordinates, in_log.coordinates) == ({"backward": "t"},
+                                                          {"backward": "log-time"})
+        ts = np.linspace(0.05, 1.0, 23)
+        assert np.max(np.abs(in_log.matrices(ts) - in_t.matrices(ts))) < 1e-9
+
+    def test_regular_problem_steps_in_t(self):
+        # a constant-coefficient problem is exact in t, not in log-time, so
+        # a span far from 0 in ratio keeps its few steps in t
+        prob = make_problem("harmonic", omega=20.0, interval=(1e-3, 1.0))
+        diag = morse_index_dirichlet(prob).diagnostics
+        assert diag["integrator_steps"] == {"forward": 16}
+        assert diag["integrator_coordinates"] == {"forward": "t"}
 
 
 def _random_problem(dim, rng):

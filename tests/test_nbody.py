@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symind.nbody as nbody
-from symind.errors import CollisionConfiguration, NotNormalized
+from symind.errors import CollisionConfiguration, NotNormalized, SymindError
 from symind.nbody import (
     CentralConfig,
     Configuration,
@@ -407,6 +407,11 @@ class TestCatalogHook:
         eigs = np.sort(np.linalg.eigvalsh(R * 0.25))   # R(t) = diag(beta)/t^2
         assert np.min(np.abs(eigs - 4.0 / 9.0)) < 1e-9
         assert "bbar_eigs" in prob.params
+
+    def test_unknown_seed_is_config_invalid(self):
+        from symind.catalog import make_problem
+        with pytest.raises(SymindError, match="bogus"):
+            make_problem("nbody-asymptotic", config_id="bogus")
 
     def test_asymptotic_problem_hyperbolic_branch(self):
         from symind.catalog import make_problem

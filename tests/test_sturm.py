@@ -159,21 +159,22 @@ class TestFundamentalSolution:
             assert np.allclose(fs.matrix(t), Z(t) @ Z0inv, atol=1e-8)
 
     def test_bessel_general_matches_analytic(self):
-        # numeric vs analytic on [delta, 1] to 1e-8 relative down to delta = 1e-7,
-        # on grid nodes and between them
-        for q in (0.5, -0.25 - np.pi ** 2):
-            prob = make_problem("bessel", q=q)
-            from symind.bessel import r_of_q
+        # numeric vs analytic on [delta, 1] down to delta = 1e-7, on the grid
+        # nodes and between them: every log-time step of R = q / t^2 is
+        # exact, so the error is roundoff
+        from symind.bessel import r_of_q
+        for q in (0.5, 0.3, -2.0, -0.25 - np.pi ** 2):
             r = r_of_q(q)
-            fs = fundamental_solution(prob, 1.0, (1e-7, 1.0))
+            fs = fundamental_solution(make_problem("bessel", q=q), 1.0, (1e-7, 1.0))
             def Z(t):
                 y1, y2, d1, d2 = singular_solutions(r, t)
                 return np.array([[d1, d2], [y1, y2]])
             Z1inv = np.linalg.inv(Z(1.0))
-            for t in (1e-7, 1.234e-7, 3.3e-5, 1e-4, 1e-3, 0.0271, 0.3, 0.777, 0.9):
+            nodes = [t for t, _ in fs.drift_log]
+            for t in nodes + [1.234e-7, 3.3e-5, 1e-4, 1e-3, 0.0271, 0.3, 0.777, 0.9]:
                 expected = Z(t) @ Z1inv
                 scale = np.max(np.abs(expected))
-                assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-8 * max(1.0, scale)
+                assert np.max(np.abs(fs.matrix(t) - expected)) < 1e-13 * max(1.0, scale), (q, t)
 
     def test_symplectic_drift_budget(self):
         prob = make_problem("bessel", q=-0.25 - np.pi ** 2)
