@@ -10,17 +10,19 @@ pair near t = 0 is
 
 with constant boundary bracket [y1, y2] = -1 for every r.  These formulas are
 the analytic oracle for the numeric Sturm-Liouville machinery.
+
+A matrix end -x'' + D x / t^2 splits along D = V diag(lam) V^T into one
+scalar end per eigenvalue: limit circle below 3/4 (``limit_circle``),
+oscillatory below -1/4 (``direction_classes``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import LagrangianFrame, SymplecticSpace, line_frame
-from .errors import LimitPointNoCondition, OutOfRange, TailModelMissing
+from .errors import LimitPointNoCondition, OutOfRange
 
 THRESHOLD_Q = -0.25
 LIMIT_POINT_Q = 0.75
@@ -40,23 +42,11 @@ def q_of_r(r: float) -> float:
 
 def r_of_q(q: float) -> float:
     """Inverse of q_of_r on q < 3/4."""
-    if q >= LIMIT_POINT_Q:
+    if not limit_circle(q):
         raise OutOfRange("inverse defined for q < 3/4")
     if q >= THRESHOLD_Q:
         return math.sqrt(q + 0.25)
     return -math.sqrt(-0.25 - q)
-
-
-@dataclass(frozen=True)
-class BesselParam:
-    """Consistent (q, r) pair."""
-
-    q: float
-    r: float
-
-    @staticmethod
-    def from_q(q: float) -> "BesselParam":
-        return BesselParam(q, r_of_q(q))
 
 
 def singular_solutions(r: float, t):
@@ -127,47 +117,22 @@ def zero_sequence(q: float, window, anchor: float | None = None):
     return zeros
 
 
-# -- classification of Bessel-type matrix problems -----------------------------
+# -- the limit matrix of a Bessel-type end ----------------------------------------
 
 
-@dataclass
-class TailModel:
-    """Declared behavior of R(t) at the singular end: constant, or a power
-    approach R(t) = limit + C * t^p (p > 0) toward 0, resp. + C * t^(-p)
-    toward infinity."""
-
-    kind: str                 # "constant" | "power"
-    limit: object
-    rate: float | None = None
-
-    def limit_matrix(self, n: int) -> np.ndarray:
-        M = np.atleast_2d(np.asarray(self.limit, dtype=float))
-        if M.shape == (1, 1) and n > 1:
-            M = M[0, 0] * np.eye(n)
-        return 0.5 * (M + M.T)
+def limit_circle(q):
+    """Whether -y'' + q y / t^2 is limit circle at 0, elementwise for an
+    array: both solutions t^(1/2 -+ r) are square-integrable near 0 exactly
+    when q < 3/4 (Zettl, Sturm-Liouville Theory, AMS 2005, ch. 7)."""
+    return np.asarray(q) < LIMIT_POINT_Q
 
 
-ZERO_END = "zero"
-INFINITY_END = "infinity"
-
-
-@dataclass
-class BesselMatrixProblem:
-    """-d^2/dt^2 + R(t)/t^2 on (0, 1] (zero end) or [1, inf) (infinity end)."""
-
-    dim: int
-    r_func: object
-    end: str = ZERO_END
-    tail: TailModel | None = None
-    label: str = ""
-
-
-@dataclass
-class BesselClassification:
-    eigenvalues: np.ndarray
-    per_direction: list
-    overall: str
-    fredholm: object          # True / False / None (not established)
+def expected_growth_per_decade(eigs) -> float:
+    """Growth of the conjugate-point count per decade of t toward 0: the sum
+    of nu ln 10 / pi over the oscillatory eigenvalues lam < -1/4, with
+    nu = sqrt(-1/4 - lam); 0 when none oscillates."""
+    return sum(math.sqrt(THRESHOLD_Q - lam) * math.log(10.0) / math.pi
+               for lam in eigs if lam < THRESHOLD_Q)
 
 
 def direction_classes(eigs):
@@ -183,28 +148,6 @@ def direction_classes(eigs):
            else FINITE_MORSE if lam > THRESHOLD_Q else INFINITE_MORSE for lam in eigs]
     overall = next((v for v in (INFINITE_MORSE, THRESHOLD) if v in per), FINITE_MORSE)
     return per, overall
-
-
-def classify(problem: BesselMatrixProblem) -> BesselClassification:
-    """``direction_classes`` of the limiting matrix's spectrum, and the
-    Fredholm flag: True for a zero end whenever the declared tail keeps
-    (R(t) - R(0))/t^2 bounded or the spectrum stays above -1/4; an infinity
-    end with R/t^2 -> 0 is never Fredholm.
-    """
-    if problem.tail is None:
-        raise TailModelMissing("declare a tail model before classification")
-    eigs = np.linalg.eigvalsh(problem.tail.limit_matrix(problem.dim))
-    per, overall = direction_classes(eigs)
-
-    if problem.end == INFINITY_END:
-        fredholm = False
-    elif problem.tail.kind == "constant" or float(eigs.min()) > THRESHOLD_Q:
-        fredholm = True
-    elif problem.tail.kind == "power" and (problem.tail.rate or 0.0) >= 2.0:
-        fredholm = True
-    else:
-        fredholm = None
-    return BesselClassification(eigs, per, overall, fredholm)
 
 
 # -- Friedrichs data at a limit-circle end -------------------------------------
@@ -224,7 +167,7 @@ def friedrichs_trace_frame(r: float) -> LagrangianFrame:
     """Trace-space line of the Friedrichs condition in the limit-circle regime
     -1/4 < q < 3/4: it forces the coefficient of t^(1/2-r) to vanish, so it
     is the line of the principal solution t^(1/2+r) = y1 + r y2.  In the
-    coordinates (-[f, y1], [f, y2]) of ``sturm.singular_boundary_chart``,
+    coordinates (-[f, y1], [f, y2]) of ``sturm.boundary_chart``,
     f = a1 y1 + a2 y2 has the trace -(a2, a1): the line through (r, 1).
     """
     if not (0.0 < r < 1.0):
@@ -233,14 +176,3 @@ def friedrichs_trace_frame(r: float) -> LagrangianFrame:
     a = principal_coefficients(r)
     return line_frame(singular_end_space(), [-a[1], -a[0]])
 
-
-def bessel_boundary_chart(problem):
-    """Boundary chart of a catalog Bessel problem from the analytic kernel pair."""
-    from .sturm import singular_boundary_chart
-
-    q = problem.params["q"]
-    if q >= LIMIT_POINT_Q:
-        raise LimitPointNoCondition("limit-point end: no boundary data at 0")
-    r = r_of_q(q)
-    friedrichs = friedrichs_trace_frame(r) if 0.0 < r < 1.0 else None
-    return singular_boundary_chart(problem, solution_data(r), friedrichs)

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 
-from .bessel import LIMIT_POINT_Q, q_of_r
+from .bessel import q_of_r
 from .errors import ConfigInvalid, UnknownCatalogEntry
-from .sturm import LIMIT_CIRCLE, LIMIT_POINT, REGULAR, SLProblem
+from .sturm import REGULAR, SLProblem, bessel_problem
 
 _DESCRIPTIONS = {
     "free": (
@@ -33,8 +33,12 @@ _DESCRIPTIONS = {
     "nbody-asymptotic": (
         "limiting Bessel-type system of an asymptotic N-body motion: "
         "-d^2/dt^2 + Bbar(a)/t^2 on (0, 1] for total collision / parabolic "
-        "infinity, or -d^2/dt^2 + Bbar(a)/t^3 on [1, T] for hyperbolic infinity; "
-        "Bbar(a) = (2/9) M^{-1} D^2 U(a) / U(a) at the central configuration a."),
+        "infinity, whose end at 0 is declared by the limit matrix D = Bbar(a): "
+        "each eigendirection of D is limit circle below 3/4 and limit point "
+        "from 3/4 up, and the boundary chart is their direct sum; or "
+        "-d^2/dt^2 + Bbar(a)/t^3 on [1, 60], regular at both ends, for "
+        "hyperbolic infinity; Bbar(a) = (2/9) M^{-1} D^2 U(a) / U(a) at the "
+        "central configuration a."),
 }
 
 
@@ -60,24 +64,21 @@ def make_problem(name: str, **params) -> SLProblem:
     and a missing required parameter ConfigInvalid."""
     if name == "free":
         interval = tuple(params.pop("interval", (0.0, 1.0)))
-        return SLProblem(1, interval, 1.0, 0.0, 0.0, catalog="free", params=params)
+        return SLProblem(1, interval, 1.0, 0.0, 0.0, params=params)
 
     if name == "harmonic":
         omega = float(params.pop("omega", 1.0))
         interval = tuple(params.pop("interval", (0.0, 1.0)))
         return SLProblem(1, interval, 1.0, 0.0, -omega * omega,
-                         catalog="harmonic", params={"omega": omega, **params})
+                         params={"omega": omega, **params})
 
     if name in ("bessel", "bessel_r"):
         if name == "bessel_r":
             q = q_of_r(_required(params, "r", name))
         else:
             q = _required(params, "q", name)
-        interval = tuple(params.pop("interval", (0.0, 1.0)))
-        kind0 = LIMIT_CIRCLE if q < LIMIT_POINT_Q else LIMIT_POINT
-        return SLProblem(
-            1, interval, 1.0, 0.0, lambda t, _q=q: _q / t ** 2,
-            endpoints=(kind0, REGULAR), catalog="bessel", params={"q": q, **params})
+        interval = params.pop("interval", (0.0, 1.0))
+        return bessel_problem(q, interval, {"q": q, **params})
 
     if name == "mathieu":
         a = float(params.pop("a", 1.0))
@@ -86,7 +87,7 @@ def make_problem(name: str, **params) -> SLProblem:
         return SLProblem(
             1, interval, 1.0, 0.0,
             lambda t, _a=a, _q=qm: _a - 2.0 * _q * np.cos(2.0 * t),
-            catalog="mathieu", params={"a": a, "q": qm, **params})
+            params={"a": a, "q": qm, **params})
 
     if name == "nbody-asymptotic":
         from .nbody import asymptotic_problem
@@ -115,4 +116,4 @@ def load_problem_csv(path: str, dim: int, interval=None,
 
     interval = (float(t[0]), float(t[-1])) if interval is None else tuple(interval)
     return SLProblem(dim, interval, block("P"), block("Q"), block("R"),
-                     endpoints=endpoints, catalog=None, params={"source": str(path)})
+                     endpoints=endpoints, params={"source": str(path)})

@@ -219,6 +219,9 @@ def cmd_rellich(args) -> int:
     from .spectral import rellich_ghosts
 
     delta = args.delta
+    bad = [u for u in args.u_values if u <= 0]
+    if bad:
+        raise ConfigInvalid(f"--u-values must be positive, got {', '.join(map(str, bad))}")
     problem = _resolve_problem("bessel", {"q": args.q, "interval": (delta, 1.0)}, None)
     from .bessel import r_of_q
     r = r_of_q(args.q)

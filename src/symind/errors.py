@@ -69,8 +69,8 @@ class BracketLimitDiverges(SymindError):
 
 
 class Inconclusive(SymindError):
-    """A verdict is ambiguous within tolerance: an endpoint classification
-    fit, or a triple index whose signature and intersection counts disagree."""
+    """A triple index whose signature and intersection counts disagree
+    within tolerance."""
 
 
 class SelectionFailed(SymindError):
@@ -95,10 +95,6 @@ class TransversalityViolated(SymindError):
 
 class OutOfRange(SymindError):
     """Parameter outside the documented domain of the map."""
-
-
-class TailModelMissing(SymindError):
-    """Classification requires a declared tail model."""
 
 
 class LimitPointNoCondition(SymindError):

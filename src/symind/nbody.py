@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import INFINITE_MORSE, LIMIT_POINT_Q, THRESHOLD, direction_classes
+from .bessel import FINITE_MORSE, INFINITE_MORSE, THRESHOLD, direction_classes
 from .errors import (
     CollisionConfiguration,
     ConfigInvalid,
@@ -32,7 +32,7 @@ from .errors import (
     SolverDiverged,
 )
 from .report import INFINITE, UNDETERMINED, IndexReport
-from .sturm import LIMIT_CIRCLE, LIMIT_POINT, REGULAR, SLProblem, morse_index_dirichlet
+from .sturm import SLProblem, bessel_problem, morse_index_dirichlet
 
 COLLISION_TOL = 1e-9
 CC_TOL = 1e-12          # residual |grad U + U M q| that ends the central-configuration solve
@@ -258,44 +258,44 @@ def _motion_name(motion: str) -> str:
 
 
 def _limiting_problem(eigs, motion: str, **params) -> SLProblem:
-    """-d^2/dt^2 + diag(eigs)/t^3 on [1, 60] for a hyperbolic motion, and
-    -d^2/dt^2 + diag(eigs)/t^2 on (0, 1] otherwise."""
+    """-d^2/dt^2 + diag(eigs)/t^3 on [1, 60], regular at both ends, for a
+    hyperbolic motion, and the Bessel-type problem of the limit matrix
+    diag(eigs) on (0, 1] otherwise."""
     eigs = [float(lam) for lam in eigs]
     D = np.diag(eigs)
     params = {**params, "motion": motion, "bbar_eigs": eigs}
     if motion == HYPERBOLIC:
-        return SLProblem(len(eigs), (1.0, 60.0), 1.0, 0.0, lambda t, _D=D: _D / t ** 3,
-                         endpoints=(REGULAR, REGULAR), catalog="nbody-asymptotic",
+        return SLProblem(len(eigs), (1.0, 60.0), 1.0, 0.0, lambda t: D / t ** 3,
                          params=params)
-    kind = LIMIT_CIRCLE if max(eigs) < LIMIT_POINT_Q else LIMIT_POINT
-    return SLProblem(len(eigs), (0.0, 1.0), 1.0, 0.0, lambda t, _D=D: _D / t ** 2,
-                     endpoints=(kind, REGULAR), catalog="nbody-asymptotic",
-                     params=params)
+    return bessel_problem(D, params=params)
 
 
 def asymptotic_morse_from_spectrum(eigs, motion) -> IndexReport:
     """Classification of each Bbar eigendirection by ``direction_classes``
     and, when every direction is finite, the sum of the directions'
     conjugate-point indices, each the ``morse_index_dirichlet`` verdict of
-    its scalar limiting problem.  A hyperbolic motion is finite in every
-    direction; its sum is reported as ``truncated_count`` and lists no
-    points.  A direction whose index is not an integer makes the verdict
-    Undetermined, with that direction's reason."""
+    its scalar limiting problem.  The -1/4 rule belongs to the t^-2
+    limiting problem: the t^-3 problem of a hyperbolic motion is regular,
+    so every direction is Finite; its sum is reported as
+    ``truncated_count`` and lists no points.  A direction whose index is
+    not an integer makes the verdict Undetermined, with that direction's
+    reason."""
     eigs = np.sort(np.asarray(eigs, dtype=float))
     motion = _motion_name(motion)
-    per_direction, overall = direction_classes(eigs)
+    if motion == HYPERBOLIC:
+        per_direction, overall = [FINITE_MORSE] * len(eigs), FINITE_MORSE
+    else:
+        per_direction, overall = direction_classes(eigs)
     diagnostics = {"bbar_spectrum": eigs.tolist(),
                    "per_direction": per_direction,
                    "motion": motion}
     assumptions = {"limiting_model": "diagonalized Bessel-type system",
                    "H3_bounded_below": "assumed, not verified"}
 
-    # t^-3 decay is subcritical at infinity in every direction, so a
-    # hyperbolic index is finite whatever the spectrum
-    if motion != HYPERBOLIC and overall == INFINITE_MORSE:
+    if overall == INFINITE_MORSE:
         return IndexReport(command="nbody", verdict=INFINITE,
                            assumptions=assumptions, diagnostics=diagnostics)
-    if motion != HYPERBOLIC and overall == THRESHOLD:
+    if overall == THRESHOLD:
         return IndexReport(command="nbody", verdict=UNDETERMINED,
                            reason="an eigendirection touches the -1/4 threshold exactly",
                            assumptions=assumptions, diagnostics=diagnostics)

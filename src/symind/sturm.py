@@ -21,11 +21,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .bessel import LIMIT_POINT_Q, THRESHOLD_Q, bessel_boundary_chart
+from .bessel import (
+    expected_growth_per_decade,
+    friedrichs_trace_frame,
+    limit_circle,
+    r_of_q,
+    solution_data,
+)
 from .core import (
     LagrangianFrame,
     SymplecticMatrix,
@@ -35,7 +42,6 @@ from .core import (
     graph_lagrangian,
     intersection_dim,
     lagrangian_from_columns,
-    neumann_frame,
     stacked_lagrangian_frames,
 )
 from .errors import (
@@ -44,7 +50,6 @@ from .errors import (
     CoefficientSingular,
     ContinuityBudgetExceeded,
     DriftBudgetExceeded,
-    Inconclusive,
     KernelBasisUnavailable,
     ScheduleTooShort,
     SelectionFailed,
@@ -58,7 +63,6 @@ from .report import INFINITE, UNDETERMINED, IndexReport
 REGULAR = "Regular"
 LIMIT_POINT = "SingularLimitPoint"
 LIMIT_CIRCLE = "SingularLimitCircle"
-UNKNOWN = "Unknown"
 
 DELTA_SCHEDULE = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 DRIFT_BUDGET = 1e-8
@@ -99,6 +103,11 @@ class SLProblem:
     as s of shape (K, 1, 1, 1) and takes (K, k, n, n), or (K, 1, n, n) when
     c does not depend on t.  ``-R * s * np.eye(n)`` and ``s * C`` for an
     (n, n) array C serve both; ``np.array([[-R * s]])`` nests the batch.
+
+    ``limit_matrix`` declares a Bessel-type left end: R = D / t^2, P = I and
+    Q = 0, with the singular end at t = 0 (``bessel_problem`` sets r and
+    the end label from it).  Every fact about that end is read from
+    ``directions``, the decomposition D = V diag(lam) V^T.
     """
 
     dim: int
@@ -108,7 +117,7 @@ class SLProblem:
     r: object
     c: object = None                      # perturbation c(s, t) with c(0, .) = 0
     endpoints: tuple = (REGULAR, REGULAR)
-    catalog: str | None = None
+    limit_matrix: np.ndarray | None = None
     params: dict = field(default_factory=dict)
 
     @property
@@ -139,6 +148,24 @@ class SLProblem:
             if self.endpoints[side] in (LIMIT_POINT, LIMIT_CIRCLE):
                 return side
         return None
+
+    @cached_property
+    def directions(self):
+        """(lam, V) with D = V diag(lam) V^T for the declared limit matrix D,
+        eigenvalues ascending, computed once per problem."""
+        return np.linalg.eigh(self.limit_matrix)
+
+
+def bessel_problem(D, interval=(0.0, 1.0), params=None) -> SLProblem:
+    """-x'' + D x / t^2 on ``interval`` with the declared Bessel-type end at
+    t = 0, for a symmetric D (a float when n = 1).  The end is labelled limit
+    circle when some direction of D is, and limit point otherwise."""
+    D = np.atleast_2d(np.asarray(D, dtype=float))
+    problem = SLProblem(len(D), tuple(interval), 1.0, 0.0, lambda t: D / t ** 2,
+                        limit_matrix=D, params=params or {})
+    kind = LIMIT_CIRCLE if limit_circle(problem.directions[0]).any() else LIMIT_POINT
+    problem.endpoints = (kind, REGULAR)
+    return problem
 
 
 def hamiltonians(problem: SLProblem, ts, s: np.ndarray | None = None) -> np.ndarray:
@@ -601,12 +628,12 @@ def morse_index_dirichlet(problem: SLProblem, delta_schedule=DELTA_SCHEDULE,
                    "max_drift": fs.max_drift(),
                    "integrator_steps": dict(fs.steps),
                    "integrator_coordinates": dict(fs.coordinates)}
-    qval = problem.params.get("q")
     if problem.singular_end() is None:
         diagnostics["truncation"] = "none (regular problem)"
-    elif problem.catalog == "bessel" and qval is not None and qval < THRESHOLD_Q:
-        nu = math.sqrt(THRESHOLD_Q - qval)
-        diagnostics["expected_growth_per_decade"] = nu * math.log(10.0) / math.pi
+    elif problem.limit_matrix is not None:
+        growth = expected_growth_per_decade(problem.directions[0])
+        if growth:
+            diagnostics["expected_growth_per_decade"] = growth
 
     return IndexReport(
         command="morse", verdict=verdict, reason=reason,
@@ -630,27 +657,30 @@ class BoundaryCondition:
 
 @dataclass
 class BoundaryChart:
-    """Coordinates on the boundary-data space R^(2n) (+) R^(2n) of a problem
-    of dimension n, which carries the product form -Omega (+) Omega.
+    """Coordinates on the boundary-data space of a problem of dimension n,
+    R^(2m) (+) R^(2n) with the product form -Omega (+) Omega.
 
     A function f of the maximal domain has the right coordinates
-    (f^[1](b), f(b)).  Its left coordinates are (f^[1](a), f(a)) at a regular
-    end, and (-[f, y1](a+), [f, y2](a+)) at a limit-circle end whose kernel
-    pair is normalized to [y1, y2](a+) = -1.  At either end [f, g] is Omega
-    of the coordinates, so the Green form [f, g](b) - [f, g](a+) is the
-    product form.
+    (f^[1](b), f(b)).  At a regular left end m = n and the left coordinates
+    are (f^[1](a), f(a)).  At a declared Bessel-type end m is the number of
+    limit-circle directions v_j of the limit matrix, and the left
+    coordinates are (-[f, y1_j v_j](a+))_j followed by ([f, y2_j v_j](a+))_j
+    for kernel pairs normalized to [y1_j, y2_j](a+) = -1.  At either end
+    [f, g] is Omega of the coordinates, so the Green form
+    [f, g](b) - [f, g](a+) is the product form.
 
-    ``kernel_trace`` is the trace image of the solution space of l x = 0,
-    ``friedrichs`` the Lagrangian of the Friedrichs extension's domain (None
-    when the chart has none) and ``kernel_data`` the kernel pair at a
-    limit-circle end.  The kernel trace must be Lagrangian, which pins every
-    sign convention of the coordinates.
+    ``kernel_trace`` is the trace image of the solution space of l x = 0 in
+    the maximal domain, ``friedrichs`` the Lagrangian of the Friedrichs
+    extension's domain (None when the chart has none) and ``kernel_data``
+    the 2m kernel functions y1_j v_j, then y2_j v_j, at a Bessel-type end.
+    The kernel trace must be Lagrangian, which pins every sign convention
+    of the coordinates.
     """
 
     problem: SLProblem
     kernel_trace: LagrangianFrame
     friedrichs: LagrangianFrame | None
-    kernel_data: object = None      # [y1, y2], each t -> (value, quasi-derivative)
+    kernel_data: object = None      # callables t -> (value, quasi-derivative)
 
     def __post_init__(self):
         res = self.kernel_trace.isotropy_residual()
@@ -664,25 +694,28 @@ class BoundaryChart:
 
 def resolve_boundary_condition(problem: SLProblem, bc,
                                chart: BoundaryChart | None = None) -> LagrangianFrame:
-    """The frame of a boundary condition in the boundary-data space
-    R^(2n) (+) R^(2n), the one resolver of every route that takes one.
+    """The frame of a boundary condition in the boundary-data space, the one
+    resolver of every route that takes one: ``chart.space`` when a chart is
+    given, and R^(2n) (+) R^(2n) otherwise.
 
     ``bc`` is a name, a BoundaryCondition or a frame of that space.  The
-    names dirichlet and neumann put those data at both ends; friedrichs
-    resolves only in a chart that has a Friedrichs frame, and raises
-    KernelBasisUnavailable otherwise.  SpaceMismatch for a frame of another
-    space, UnknownBoundaryCondition for any other ``bc``.
+    names dirichlet and neumann put those data in every coordinate pair of
+    both blocks; friedrichs resolves only in a chart that has a Friedrichs
+    frame, and raises KernelBasisUnavailable otherwise.  SpaceMismatch for a
+    frame of another space, UnknownBoundaryCondition for any other ``bc``.
     """
+    space = SymplecticSpace.minus_plus(problem.dim, problem.dim) if chart is None else chart.space
     if isinstance(bc, BoundaryCondition):
         bc = bc.frame if bc.kind == "general" else bc.kind
     if isinstance(bc, LagrangianFrame):
-        if bc.space != SymplecticSpace.minus_plus(problem.dim, problem.dim):
+        if bc.space != space:
             raise SpaceMismatch("boundary frame must live in the product boundary space")
         return bc
     name = bc if isinstance(bc, str) else None
     if name in ("dirichlet", "neumann"):
-        end = (dirichlet_frame if name == "dirichlet" else neumann_frame)(problem.space)
-        return direct_sum_frame(end, end)
+        # (I; 0) frees the quasi-derivatives, (0; I) the positions
+        return direct_sum_frame(*(np.eye(2 * m)[:, :m] if name == "dirichlet"
+                                  else np.eye(2 * m)[:, m:] for m in space.blocks))
     if name == "friedrichs":
         if chart is None or chart.friedrichs is None:
             raise KernelBasisUnavailable("the Friedrichs condition needs a chart with its frame")
@@ -702,40 +735,48 @@ def regular_boundary_chart(problem: SLProblem,
     return BoundaryChart(problem, V, resolve_boundary_condition(problem, "dirichlet"))
 
 
-def singular_boundary_chart(problem: SLProblem, kernel_data,
-                            friedrichs_left: LagrangianFrame | None = None) -> BoundaryChart:
-    """Chart of a scalar problem with a limit-circle left end, from a kernel
-    pair y1, y2 (callables t -> (value, quasi-derivative)) with
-    [y1, y2](a+) = -1.
-
-    f = c1 y1 + c2 y2 has the left coordinates (-[f, y1], [f, y2]) =
-    (-c2, -c1), so those of y1 and y2 are the columns of [[0, -1], [-1, 0]].
-    ``friedrichs_left`` is the Friedrichs line in these coordinates
-    (``bessel.friedrichs_trace_frame``); without it the chart has no
-    Friedrichs frame and the index corrections that need it are unavailable.
-    """
-    b = problem.interval[1]
-    right = [np.concatenate([np.atleast_1d(quasi), np.atleast_1d(val)])
-             for val, quasi in (y(b) for y in kernel_data)]
-    V = lagrangian_from_columns(SymplecticSpace.minus_plus(problem.dim, problem.dim),
-                                np.vstack([[[0.0, -1.0], [-1.0, 0.0]], np.column_stack(right)]))
-    F = None
-    if friedrichs_left is not None:
-        F = direct_sum_frame(friedrichs_left, dirichlet_frame(problem.space))
-    return BoundaryChart(problem, V, F, kernel_data)
-
-
 def boundary_chart(problem: SLProblem,
                    fs: FundamentalSolution | None = None) -> BoundaryChart:
-    """Dispatch: analytic chart for catalog problems with a kernel basis,
-    endpoint-evaluation chart for regular problems (from ``fs`` when given);
-    KernelBasisUnavailable for any other singular end."""
-    if problem.catalog == "bessel":
-        return bessel_boundary_chart(problem)
-    if problem.singular_end() is None:
-        return regular_boundary_chart(problem, fs)
-    raise KernelBasisUnavailable(
-        "no kernel basis for a singular end outside the Bessel catalog entries")
+    """The chart of a problem regular at both ends (``regular_boundary_chart``,
+    from ``fs`` when given) or with a declared Bessel-type end;
+    KernelBasisUnavailable for any other singular end.
+
+    A declared end is a direct sum over the directions v_j of its limit
+    matrix D = V diag(lam) V^T.  A limit-circle direction contributes the
+    kernel pair y1_j v_j, y2_j v_j from ``solution_data(r_of_q(lam_j))`` and
+    its two left coordinates; kernel functions of different directions have
+    zero brackets, so these take the left coordinates -e_(k+j) and -e_j, as
+    in one scalar direction.  A limit-point direction contributes only the
+    column of its principal solution t^(1/2+nu_j) v_j at b,
+    nu_j = sqrt(lam_j + 1/4), the one solution square-integrable at 0.  With
+    k limit-circle directions the space is minus_plus(k, n).  The Friedrichs
+    frame is the sum of the lines ``friedrichs_trace_frame(r_j)`` and
+    Dirichlet data at b; it exists when every limit-circle r_j is in (0, 1).
+    """
+    if problem.limit_matrix is None:
+        if problem.singular_end() is None:
+            return regular_boundary_chart(problem, fs)
+        raise KernelBasisUnavailable("no kernel basis for a singular end without a limit matrix")
+    lam, V = problem.directions
+    n, b = problem.dim, problem.b
+    circle = limit_circle(lam)
+    k = int(circle.sum())
+    r = [r_of_q(q) for q in lam[circle]]
+    kernel = [lambda t, y=pair[i], v=v: tuple(w * v for w in y(t))      # y1_j v_j, then y2_j v_j
+              for i in (0, 1) for pair, v in zip(map(solution_data, r), V.T[circle])]
+    # the columns' right coordinates (quasi-derivative, value) at b
+    right = [np.concatenate(f(b)[::-1]) for f in kernel] + [
+        np.concatenate([(0.5 + nu) * b ** (nu - 0.5) * v, b ** (0.5 + nu) * v])
+        for nu, v in zip(np.sqrt(lam[~circle] + 0.25), V.T[~circle])]
+    left = np.hstack([-np.roll(np.eye(2 * k), k, axis=0), np.zeros((2 * k, n - k))])
+    K = lagrangian_from_columns(SymplecticSpace.minus_plus(k, n),
+                                np.vstack([left, np.column_stack(right)]))
+    F = None
+    if all(0.0 < rj < 1.0 for rj in r):
+        lines = np.reshape([friedrichs_trace_frame(rj).frame[:, 0] for rj in r], (k, 2))
+        F = direct_sum_frame(np.vstack([np.diag(lines[:, 0]), np.diag(lines[:, 1])]),
+                             dirichlet_frame(problem.space))
+    return BoundaryChart(problem, K, F, kernel)
 
 
 def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) -> np.ndarray:
@@ -743,28 +784,25 @@ def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) ->
     of ``BoundaryChart``.
 
     ``f_data``: callable t -> (value, quasi-derivative).  For a regular
-    problem this is (x^[1](a), x(a), x^[1](b), x(b)).  At a limit-circle end
-    the left block (-[f, y1](a+), [f, y2](a+)) is read along t_k = a + base
-    4^-k, k = 0..7.  Consecutive readings pass the Cauchy test when they
-    agree to 1e-6 relative beyond the roundoff 8 eps (|<f^[1], y>| +
-    |<f, y^[1]>|) of the bracket's two terms, which cancel and, for a kernel
-    function, grow like t^(-2r).  The limit is the first reading from which
-    every later pair passes; BracketLimitDiverges when the last pair fails.
-    At a limit-point end only the regular-end block is produced.
+    problem this is (x^[1](a), x(a), x^[1](b), x(b)).  At a singular end
+    the left block (-[f, y1_j v_j](a+))_j, ([f, y2_j v_j](a+))_j is read
+    against the chart's kernel functions (``boundary_chart`` when None)
+    along t_k = a + base 4^-k, k = 0..7; at a limit-point end it is empty.
+    Consecutive readings pass the Cauchy test when they agree to 1e-6
+    relative beyond the roundoff 8 eps (|<f^[1], y>| + |<f, y^[1]>|) of the
+    bracket's two terms, which cancel and, for a kernel function, grow like
+    t^(-2r).  The limit is the first reading from which every later pair
+    passes; BracketLimitDiverges when the last pair fails.
     """
     a, b = problem.interval
-    side = problem.singular_end()
 
     def b_block():
         val, quasi = f_data(b)
         return np.concatenate([np.atleast_1d(quasi), np.atleast_1d(val)])
 
-    if side is None:
+    if problem.singular_end() is None:
         val_a, quasi_a = f_data(a)
         return np.concatenate([np.atleast_1d(quasi_a), np.atleast_1d(val_a), b_block()])
-
-    if problem.endpoints[0] == LIMIT_POINT or problem.endpoints[1] == LIMIT_POINT:
-        return b_block()
 
     if chart is None:
         chart = boundary_chart(problem)
@@ -774,7 +812,8 @@ def trace_map(problem: SLProblem, f_data, chart: BoundaryChart | None = None) ->
     base = min(1e-3, 0.1 * (b - a))
     seq = [a + base * 4.0 ** (-k) for k in range(8)]
     left = []
-    for sign, y in zip((-1.0, 1.0), chart.kernel_data):
+    signs = np.repeat([-1.0, 1.0], len(chart.kernel_data) // 2)
+    for sign, y in zip(signs, chart.kernel_data):
         terms = np.array([_bracket_terms(f_data(t), y(t)) for t in seq])
         vals = sign * (terms[:, 0] - terms[:, 1])
         noise = 8.0 * _EPS * np.sum(np.abs(terms), axis=1)
@@ -837,93 +876,3 @@ def morse_index_general(problem: SLProblem, bc,
         conjugate_points=base.conjugate_points,
         assumptions=base.assumptions, diagnostics=diagnostics)
 
-
-# -- endpoint classification ---------------------------------------------------
-
-
-def endpoint_classify(problem: SLProblem, endpoint) -> str:
-    """Weyl-type classification of one endpoint: Regular, limit circle, or
-    limit point.
-
-    Catalog Bessel problems use the analytic thresholds (q < 3/4 means two
-    square-integrable solutions near 0, reported as limit circle following
-    the family convention even at coefficients that extend continuously).
-    Otherwise: regular when the coefficients extend continuously with P^{-1}
-    bounded; else integrate the full solution space toward the endpoint and
-    count square-integrable directions by tail-sum extrapolation of the Gram
-    spectrum.
-    """
-    side = 0 if endpoint in (0, "a", "left") else 1
-    a, b = problem.interval
-
-    if problem.catalog == "bessel" and side == 0:
-        # analytic override: both solutions t^(1/2 +- r) are square-integrable
-        # near 0 exactly when q < 3/4; the family convention reports limit
-        # circle even where the coefficient extends continuously (q = 0)
-        return LIMIT_CIRCLE if problem.params["q"] < LIMIT_POINT_Q else LIMIT_POINT
-
-    t_end = a if side == 0 else b
-    if not np.isfinite(t_end):
-        return _classify_by_integration(problem, side)
-    h0 = 1e-3 * (b - a)
-    probes = t_end + (1 if side == 0 else -1) * h0 * 4.0 ** -np.arange(6)
-    try:
-        P, Q, R = problem.coefficients(probes)
-        vals = np.concatenate([np.linalg.inv(P), Q, R], axis=1).reshape(len(probes), -1)
-        sup = np.max(np.abs(vals))
-        if np.max(np.abs(vals[-1] - vals[-2])) < 1e-6 * max(1.0, sup) and sup < 1e8:
-            return REGULAR
-    except (CoefficientSingular, np.linalg.LinAlgError, FloatingPointError):
-        pass
-    return _classify_by_integration(problem, side)
-
-
-def _classify_by_integration(problem: SLProblem, side: int) -> str:
-    n = problem.dim
-    a, b = problem.interval
-    if side == 0:
-        if not np.isfinite(a):
-            raise Inconclusive("infinite left endpoint not supported by the tail oracle")
-        ref = a + min(0.5 * (b - a), 0.5)
-        cutoffs = [a + (ref - a) * 4.0 ** (-k) for k in range(1, 9)]
-        anchor, lo, hi = ref, cutoffs[-1], ref
-    else:
-        if not np.isfinite(b):
-            ref = a + 1.0 if np.isfinite(a) else 0.0
-            cutoffs = [ref + 4.0 ** k for k in range(1, 9)]
-            anchor, lo, hi = ref, ref, cutoffs[-1]
-        else:
-            ref = b - min(0.5 * (b - a), 0.5)
-            cutoffs = [b - (b - ref) * 4.0 ** (-k) for k in range(1, 9)]
-            anchor, lo, hi = ref, ref, cutoffs[-1]
-
-    fs = fundamental_solution(problem, anchor, (min(lo, hi), max(lo, hi)),
-                              tol=1e-8, drift_budget=1e30)
-
-    # Gram matrices of the position rows of all solutions from the anchor to
-    # each cutoff, by the midpoint rule on 32 cells between consecutive cutoffs
-    nodes = np.array([(np.geomspace if min(t0, t1) > 0 else np.linspace)(
-        min(t0, t1), max(t0, t1), 33) for t0, t1 in zip([anchor] + cutoffs[:-1], cutoffs)])
-    X = fs.matrices(0.5 * (nodes[:, :-1] + nodes[:, 1:]))[:, n:, :]
-    cells = np.einsum("k,kji,kjl->kil", np.diff(nodes, axis=1).ravel(), X, X)
-    grams = np.cumsum(cells.reshape(len(cutoffs), -1, 2 * n, 2 * n).sum(axis=1), axis=0)
-
-    # growth ratio of each Gram eigenvalue per 4x cutoff refinement: a
-    # square-integrable direction settles to ratio 1, a divergent one keeps a
-    # fixed ratio > 1 (4^power); log-divergence lands in between -> Inconclusive
-    w = [np.linalg.eigvalsh(G) for G in grams[-3:]]
-    bounded = divergent = 0
-    for k in range(2 * n):
-        r1 = w[1][k] / max(w[0][k], 1e-300)
-        r2 = w[2][k] / max(w[1][k], 1e-300)
-        if r1 < 1.2 and r2 < 1.2:
-            bounded += 1
-        elif r1 > 2.0 and r2 > 2.0:
-            divergent += 1
-    if bounded == 2 * n:
-        return LIMIT_CIRCLE
-    if bounded == n and divergent == n:
-        return LIMIT_POINT
-    raise Inconclusive(
-        f"{bounded} of {2 * n} tail directions look square-integrable, "
-        f"{divergent} divergent")

@@ -9,12 +9,10 @@ from symind.bessel import (
     FINITE_MORSE,
     INFINITE_MORSE,
     THRESHOLD,
-    BesselMatrixProblem,
-    BesselParam,
-    TailModel,
-    classify,
     direction_classes,
+    expected_growth_per_decade,
     friedrichs_trace_frame,
+    limit_circle,
     principal_coefficients,
     q_of_r,
     r_of_q,
@@ -22,8 +20,8 @@ from symind.bessel import (
     solution_data,
     zero_sequence,
 )
-from symind.errors import LimitPointNoCondition, OutOfRange, TailModelMissing
-from symind.sturm import boundary_bracket
+from symind.errors import LimitPointNoCondition, OutOfRange
+from symind.sturm import LIMIT_CIRCLE, LIMIT_POINT, bessel_problem, boundary_bracket
 
 
 class TestReparametrization:
@@ -41,10 +39,6 @@ class TestReparametrization:
             q_of_r(1.0)
         with pytest.raises(OutOfRange):
             r_of_q(0.75)
-
-    def test_param_pair(self):
-        p = BesselParam.from_q(0.0)
-        assert p.r == pytest.approx(0.5)
 
 
 class TestSingularSolutions:
@@ -114,32 +108,28 @@ class TestZeroSequence:
 
 
 class TestClassify:
-    def test_constant_zero_is_finite_and_fredholm(self):
-        prob = BesselMatrixProblem(1, lambda t: np.zeros((1, 1)), "zero",
-                                   TailModel("constant", 0.0))
-        out = classify(prob)
-        assert out.overall == FINITE_MORSE and out.fredholm is True
+    """Direction classes of a declared end, read from the decomposition of
+    its limit matrix."""
 
     def test_constant_minus_half_is_infinite(self):
-        prob = BesselMatrixProblem(1, lambda t: -0.5 * np.ones((1, 1)), "zero",
-                                   TailModel("constant", -0.5))
-        out = classify(prob)
-        assert out.overall == INFINITE_MORSE
-        assert out.fredholm is True  # compact resolvent for any constant coupling
+        lam, _ = bessel_problem(-0.5).directions
+        assert direction_classes(lam) == ([INFINITE_MORSE], INFINITE_MORSE)
+        assert expected_growth_per_decade(lam) == pytest.approx(0.5 * math.log(10) / math.pi)
 
     def test_diagonal_mixed_directions(self):
-        lim = np.diag([1.0, -1.0])
-        prob = BesselMatrixProblem(2, lambda t: lim, "infinity",
-                                   TailModel("constant", lim))
-        out = classify(prob)
-        assert out.per_direction == [INFINITE_MORSE, FINITE_MORSE]  # ascending eigenvalues
-        assert out.overall == INFINITE_MORSE
-        assert out.fredholm is False
+        # ascending eigenvalues; the 1.0 direction is limit point, the -1.0
+        # one limit circle, so the end is labelled limit circle
+        prob = bessel_problem(np.diag([1.0, -1.0]))
+        lam, V = prob.directions
+        assert direction_classes(lam) == ([INFINITE_MORSE, FINITE_MORSE], INFINITE_MORSE)
+        assert limit_circle(lam).tolist() == [True, False]
+        assert np.allclose(V @ np.diag(lam) @ V.T, prob.limit_matrix)
+        assert prob.endpoints[0] == LIMIT_CIRCLE
+        assert bessel_problem(np.diag([1.0, 0.75])).endpoints[0] == LIMIT_POINT
 
     def test_threshold_contact_is_reported(self):
-        prob = BesselMatrixProblem(1, lambda t: -0.25 * np.ones((1, 1)), "zero",
-                                   TailModel("constant", -0.25))
-        assert classify(prob).overall == THRESHOLD
+        lam, _ = bessel_problem(-0.25).directions
+        assert direction_classes(lam)[1] == THRESHOLD
 
     @pytest.mark.parametrize("lam, verdict", [(-0.25 + 2e-12, FINITE_MORSE),
                                               (-0.25 - 2e-12, INFINITE_MORSE),
@@ -156,11 +146,6 @@ class TestClassify:
         per, got = direction_classes(eigs)
         assert len(per) == len(eigs) and got == overall
 
-    def test_missing_tail_model(self):
-        prob = BesselMatrixProblem(1, lambda t: np.zeros((1, 1)), "zero", None)
-        with pytest.raises(TailModelMissing):
-            classify(prob)
-
 
 class TestClassifyMatchesMorseVerdict:
     @pytest.mark.parametrize("q", [0.0, 0.5, -0.25 - math.pi ** 2])
@@ -169,10 +154,9 @@ class TestClassifyMatchesMorseVerdict:
         from symind.report import INFINITE
         from symind.sturm import morse_index_dirichlet
 
-        prob = BesselMatrixProblem(1, lambda t: np.array([[q]]), "zero",
-                                   TailModel("constant", q))
-        verdict = classify(prob).overall
-        rep = morse_index_dirichlet(make_problem("bessel", q=q))
+        prob = make_problem("bessel", q=q)
+        verdict = direction_classes(prob.directions[0])[1]
+        rep = morse_index_dirichlet(prob)
         if verdict == FINITE_MORSE:
             assert isinstance(rep.verdict, int)
         else:

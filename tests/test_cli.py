@@ -49,6 +49,17 @@ class TestMorseCommand:
         assert rep["reason"] == json.loads(dirichlet)["reason"]
         assert rep["diagnostics"]["friedrichs_index"] == verdict
 
+    @pytest.mark.parametrize("problem", [["nbody-asymptotic"], ["bessel", "--q", "2"]])
+    def test_neumann_at_a_declared_end(self, capsys, problem):
+        # the chart is a direct sum over the directions of the limit matrix:
+        # six limit-circle directions for two-body at d = 3, and for q = 2
+        # one limit-point direction, which keeps only the data at 1.  Both
+        # exited 1 before, with KernelBasisUnavailable and LimitPointNoCondition
+        code, out, err = run_cli(["morse", "--problem"] + problem + ["--bc", "neumann"], capsys)
+        assert code == EXIT_OK, err
+        rep = json.loads(out)
+        assert rep["verdict"] == 0 and rep["diagnostics"]["triple_index_correction"] == 0
+
     def test_schedule_too_short_is_error(self, capsys):
         code, _, err = run_cli(["morse", "--problem", "free",
                                 "--delta-schedule", "0.01", "0.001"], capsys)
@@ -249,6 +260,14 @@ class TestRellichCommand:
         assert rep["verdict"] == 1
         assert rep["diagnostics"]["counts_below_minus_M"]["100.0"][-1] == 1
 
+    @pytest.mark.parametrize("u_values", [["-0.1", "-0.05"], ["0.3", "0"]])
+    def test_non_positive_u_is_config_invalid(self, capsys, u_values):
+        # an untyped ValueError ("need b > a") from the Maslov path before
+        code, out, err = run_cli(["rellich", "--q", "0.3", "--u-values"] + u_values, capsys)
+        assert code == EXIT_ERROR and out == ""
+        assert "symind.ConfigInvalid" in err
+        assert all(str(float(u)) in err for u in u_values if float(u) <= 0)
+
 
 class TestNbodyCommand:
     def test_two_body_collision(self, capsys, tmp_path):
@@ -261,6 +280,15 @@ class TestNbodyCommand:
         assert isinstance(rep["verdict"], int)
         spectrum = np.loadtxt(csv, delimiter=",", skiprows=1)
         assert np.min(np.abs(spectrum - 4.0 / 9.0)) < 1e-9
+
+    def test_hyperbolic_labels_agree_with_the_verdict(self, capsys):
+        # the -1/4 rule labelled two directions Infinite next to verdict 0
+        code, out, _ = run_cli(["nbody", "--config", "euler3", "--motion", "hyperbolic",
+                                "--dimension", "3"], capsys)
+        assert code == EXIT_OK
+        rep = json.loads(out)
+        assert rep["verdict"] == 0
+        assert rep["diagnostics"]["per_direction"] == ["Finite"] * 9
 
     def test_json_configuration(self, capsys, tmp_path):
         cfg = tmp_path / "pair.json"

@@ -38,3 +38,14 @@ def test_run_config_schema_lists_the_catalog():
     name = json.loads(SCHEMA.read_text())["properties"]["problem"]["properties"]["name"]
     listed = re.search(r"catalog name \(([^)]*)\)", name["description"]).group(1)
     assert sorted(listed.split(", ")) == sorted(catalog_list())
+
+
+def test_every_error_type_is_raised():
+    # an error type that no module raises is dead API
+    from symind import errors
+
+    source = "\n".join(path.read_text() for path in (ROOT / "src" / "symind").glob("*.py"))
+    names = [name for name, cls in vars(errors).items() if isinstance(cls, type)
+             and issubclass(cls, errors.SymindError) and cls is not errors.SymindError]
+    assert len(names) > 20
+    assert [name for name in names if not re.search(rf"raise {name}\b", source)] == []

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symind.nbody as nbody
+from symind.catalog import make_problem
 from symind.errors import CollisionConfiguration, NotNormalized, SymindError
 from symind.nbody import (
     CentralConfig,
@@ -38,7 +39,7 @@ from symind.nbody import (
     two_body,
 )
 from symind.report import INFINITE, UNDETERMINED, IndexReport
-from symind.sturm import morse_index_dirichlet
+from symind.sturm import morse_index_dirichlet, morse_index_general
 
 
 def random_config(rng, n=3, d=3):
@@ -386,6 +387,25 @@ class TestAsymptoticMorse:
         assert rep.verdict == UNDETERMINED
         assert "stub reason" in rep.reason
 
+    @pytest.mark.parametrize("config, d", [("two-body", 2), ("two-body", 3), ("lagrange3", 2)])
+    def test_neumann_matches_the_direction_sum(self, config, d):
+        # the chart of the coupled limiting system is the direct sum of the
+        # Bessel charts of the directions of Bbar, so the Neumann index is
+        # the sum of the scalar Neumann indices, each 0
+        problem = asymptotic_problem(config, d=d)
+        scalar = [morse_index_general(make_problem("bessel", q=lam), "neumann").verdict
+                  for lam in problem.directions[0]]
+        assert scalar == [0] * problem.dim
+        assert morse_index_general(problem, "neumann").verdict == sum(scalar)
+
+    def test_hyperbolic_directions_are_all_finite(self):
+        # the t^-3 limiting problem is regular, so the -1/4 rule of the t^-2
+        # one labels none of its directions
+        rep = asymptotic_morse(euler3(d=3), "hyperbolic")
+        assert rep.verdict == 0 and rep.diagnostics["truncated_count"] == 0
+        assert set(rep.diagnostics["per_direction"]) == {"Finite"}
+        assert min(rep.diagnostics["bbar_spectrum"]) < -0.25
+
     @pytest.mark.parametrize("config", ["two-body", "lagrange3"])
     def test_coupled_system_matches_the_direction_sum(self, config):
         # second route: the coupled limiting system in one Dirichlet scan
@@ -398,7 +418,6 @@ class TestAsymptoticMorse:
 
 class TestCatalogHook:
     def test_asymptotic_problem_collision_branch(self):
-        from symind.catalog import make_problem
         prob = make_problem("nbody-asymptotic", config_id="two-body",
                             motion="total-collision", d=2)
         assert prob.dim == 4                      # d * n_bodies
@@ -409,12 +428,10 @@ class TestCatalogHook:
         assert "bbar_eigs" in prob.params
 
     def test_unknown_seed_is_config_invalid(self):
-        from symind.catalog import make_problem
         with pytest.raises(SymindError, match="bogus"):
             make_problem("nbody-asymptotic", config_id="bogus")
 
     def test_asymptotic_problem_hyperbolic_branch(self):
-        from symind.catalog import make_problem
         prob = make_problem("nbody-asymptotic", config_id="two-body",
                             motion="hyperbolic", d=2)
         assert prob.interval[0] == 1.0

@@ -41,10 +41,10 @@ from symind.sturm import (
     REGULAR,
     BoundaryCondition,
     SLProblem,
+    bessel_problem,
     boundary_bracket,
     boundary_chart,
     conjugate_points,
-    endpoint_classify,
     fundamental_solution,
     hamiltonians,
     morse_index_dirichlet,
@@ -362,37 +362,23 @@ class TestMorseIndexDirichlet:
 
 
 class TestEndpointClassify:
+    """End labels: a declared end is labelled from its limit matrix D,
+    limit circle when some eigendirection of D lies below 3/4."""
+
     def test_harmonic_regular_both(self):
         prob = make_problem("harmonic", omega=1.0)
-        assert endpoint_classify(prob, "a") == REGULAR
-        assert endpoint_classify(prob, "b") == REGULAR
+        assert prob.endpoints == (REGULAR, REGULAR) and prob.singular_end() is None
+        assert prob.limit_matrix is None
 
     def test_bessel_catalog_overrides(self):
-        assert endpoint_classify(make_problem("bessel", q=0.0), "a") == LIMIT_CIRCLE
-        assert endpoint_classify(make_problem("bessel", q=2.0), "a") == LIMIT_POINT
-
-    def test_integration_oracle_limit_point(self):
-        # same coefficients as bessel q=2 but without the catalog tag: the
-        # tail-sum oracle must find exactly one square-integrable direction
-        prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0,
-                         lambda t: 2.0 / t ** 2,
-                         endpoints=("Unknown", REGULAR))
-        assert endpoint_classify(prob, "a") == LIMIT_POINT
-
-    def test_half_line_oscillatory_tail(self):
-        # right end at infinity, where the tail oracle integrates over 4^8
-        # units: -(t^4 x')' - (9/4 + 400) t^2 x = 0 has the solutions
-        # t^(-3/2) cos(20 ln t), t^(-3/2) sin(20 ln t), both square-integrable
-        prob = SLProblem(1, (1.0, np.inf), lambda t: t ** 4, 0.0,
-                         lambda t: -(2.25 + 400.0) * t ** 2,
-                         endpoints=(REGULAR, "Unknown"))
-        assert endpoint_classify(prob, "b") == LIMIT_CIRCLE
-
-    def test_integration_oracle_limit_circle(self):
-        prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0,
-                         lambda t: 0.5 / t ** 2,
-                         endpoints=("Unknown", REGULAR))
-        assert endpoint_classify(prob, "a") == LIMIT_CIRCLE
+        assert make_problem("bessel", q=0.0).endpoints == (LIMIT_CIRCLE, REGULAR)
+        assert make_problem("bessel", q=2.0).endpoints == (LIMIT_POINT, REGULAR)
+        assert make_problem("bessel_r", r=0.5).endpoints == (LIMIT_CIRCLE, REGULAR)
+        # euler3 at d = 2: five of six directions lie below 3/4 (the largest
+        # eigenvalue is 16/15), so the end is limit circle with deficiency 5
+        euler = make_problem("nbody-asymptotic", config_id="euler3", d=2)
+        assert euler.endpoints == (LIMIT_CIRCLE, REGULAR)
+        assert int(np.sum(euler.directions[0] < 0.75)) == 5
 
 
 class TestTraceMap:
@@ -458,7 +444,8 @@ class TestTraceMap:
 
 class TestMorseIndexGeneral:
     def test_singular_end_outside_catalog_has_no_chart(self):
-        # Bessel q = 0.3 coefficients without the catalog tag: no kernel basis
+        # Bessel q = 0.3 coefficients without a declared limit matrix: no
+        # kernel basis
         prob = SLProblem(1, (0.0, 1.0), 1.0, 0.0, lambda t: 0.3 / t ** 2,
                          endpoints=(LIMIT_CIRCLE, REGULAR))
         with pytest.raises(KernelBasisUnavailable):
@@ -594,6 +581,64 @@ class TestMorseIndexGeneral:
             assert rep.verdict == self.secular_sign_changes(r, alpha, beta), (alpha, beta)
             checked += 1
 
+    def test_declared_end_lines_match_the_direction_sum(self):
+        # D = V diag(lam) V^T with a seeded rotation V: two limit-circle
+        # directions and one limit-point one (lam = 1).  The left line of
+        # direction j, at the angle theta_j in its coordinate pair, is the
+        # trace of (alpha t^(1/2-r) + beta t^(1/2+r)) v_j, with Dirichlet data
+        # at 1; the problem decouples along V, so the index is the sum of the
+        # scalar secular counts, and the limit-point direction adds that of
+        # its principal solution t^(1/2+nu) alone
+        lam = np.array([-0.2, 0.45, 1.0])
+        rng = np.random.default_rng(22)
+        V, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        prob = bessel_problem(V @ np.diag(lam) @ V.T)
+        chart = boundary_chart(prob)
+        assert chart.space.blocks == (2, 3)
+        r = np.sqrt(lam[:2] + 0.25)
+        nu = math.sqrt(lam[2] + 0.25)
+        dirichlet_b = dirichlet_frame(SymplecticSpace.standard(3))
+        verdicts = []
+        while len(verdicts) < 6:
+            theta = rng.uniform(0.0, math.pi, 2)
+            alpha = 0.5 * (np.cos(theta) / r - np.sin(theta))
+            beta = -0.5 * (np.cos(theta) / r + np.sin(theta))
+            if np.any((np.abs(alpha + beta) < 0.1 * (np.abs(alpha) + np.abs(beta)))
+                      | (np.abs(alpha) < 0.1 * np.abs(beta))):
+                continue
+            lines = []
+            for j in range(2):
+                def f_data(t, a=alpha[j], b=beta[j], rj=r[j], v=prob.directions[1][:, j]):
+                    tm, tp = t ** (0.5 - rj), t ** (0.5 + rj)
+                    return (a * tm + b * tp) * v, ((0.5 - rj) * a * tm + (0.5 + rj) * b * tp) / t * v
+
+                left = trace_map(prob, f_data, chart)[:4].reshape(2, 2)
+                assert np.allclose(np.delete(left, j, axis=1), 0.0, atol=1e-9)
+                assert np.allclose(left[:, j], [np.cos(theta[j]), np.sin(theta[j])], atol=1e-9)
+                lines.append(left[:, j])
+            lines = np.array(lines)
+            lam_frame = direct_sum_frame(np.vstack([np.diag(lines[:, 0]), np.diag(lines[:, 1])]),
+                                         dirichlet_b)
+            expected = sum(self.secular_sign_changes(rj, a, b)
+                           for rj, a, b in zip(r, alpha, beta))
+            expected += self.secular_sign_changes(nu, 0.0, 1.0)
+            rep = morse_index_general(prob, lam_frame, chart=chart)
+            assert rep.verdict == expected, theta
+            verdicts.append(expected)
+        assert len(set(verdicts)) == 3          # the draws reach 0, 1 and 2
+
+    def test_euler3_chart_keeps_the_friedrichs_verdict(self):
+        # euler3 at d = 2: five limit-circle directions give a left block of
+        # dimension 10; the oscillatory one (-8/15) leaves no Friedrichs
+        # frame, and the Dirichlet route's Undetermined holds for Neumann data
+        prob = make_problem("nbody-asymptotic", config_id="euler3", d=2)
+        chart = boundary_chart(prob)
+        assert chart.space.blocks == (5, 6) and chart.friedrichs is None
+        assert chart.kernel_trace.isotropy_residual() < 1e-12
+        rep = morse_index_general(prob, "neumann", chart=chart)
+        assert rep.verdict == UNDETERMINED
+        assert rep.reason == morse_index_dirichlet(prob).reason
+
     def test_finite_index_needs_a_friedrichs_frame(self):
         prob = make_problem("harmonic", omega=2.0, interval=(0.0, np.pi))
         chart = sturm.BoundaryChart(prob, boundary_chart(prob).kernel_trace, None)
@@ -692,6 +737,17 @@ class TestResolveBoundaryCondition:
             morse_index_general(self.PROB, bc)
         with pytest.raises(UnknownBoundaryCondition):
             discretize(self.PROB, bc, 64)
+
+    def test_declared_end_resolves_in_the_chart_space(self):
+        # q = 2 is limit point at 0, so its chart has no left coordinates:
+        # names resolve in minus_plus(0, 1), and a two-end frame does not fit
+        prob = make_problem("bessel", q=2.0)
+        chart = boundary_chart(prob)
+        assert chart.space.blocks == (0, 1)
+        frame = resolve_boundary_condition(prob, "neumann", chart)
+        assert frame.space == chart.space and np.array_equal(frame.frame, [[0.0], [1.0]])
+        with pytest.raises(SpaceMismatch):
+            resolve_boundary_condition(prob, resolve_boundary_condition(prob, "neumann"), chart)
 
     def test_frame_of_another_space(self):
         with pytest.raises(SpaceMismatch):
