@@ -61,39 +61,43 @@ def _required(params: dict, key: str, name: str) -> float:
 
 def make_problem(name: str, **params) -> SLProblem:
     """Instantiate a catalog problem; unknown names raise UnknownCatalogEntry,
-    and a missing required parameter ConfigInvalid."""
-    if name == "free":
-        interval = tuple(params.pop("interval", (0.0, 1.0)))
-        return SLProblem(1, interval, 1.0, 0.0, 0.0, params=params)
-
-    if name == "harmonic":
-        omega = float(params.pop("omega", 1.0))
-        interval = tuple(params.pop("interval", (0.0, 1.0)))
-        return SLProblem(1, interval, 1.0, 0.0, -omega * omega,
-                         params={"omega": omega, **params})
-
-    if name in ("bessel", "bessel_r"):
-        if name == "bessel_r":
-            q = q_of_r(_required(params, "r", name))
-        else:
-            q = _required(params, "q", name)
-        interval = params.pop("interval", (0.0, 1.0))
-        return bessel_problem(q, interval, {"q": q, **params})
-
-    if name == "mathieu":
-        a = float(params.pop("a", 1.0))
-        qm = float(params.pop("q", 0.5))
-        interval = tuple(params.pop("interval", (0.0, math.pi)))
-        return SLProblem(
-            1, interval, 1.0, 0.0,
-            lambda t, _a=a, _q=qm: _a - 2.0 * _q * np.cos(2.0 * t),
-            params={"a": a, "q": qm, **params})
-
+    and a missing required parameter or one the entry does not read
+    ConfigInvalid."""
     if name == "nbody-asymptotic":
         from .nbody import asymptotic_problem
         return asymptotic_problem(**params)
 
-    raise UnknownCatalogEntry(f"no catalog entry named {name!r}")
+    if name == "free":
+        interval = tuple(params.pop("interval", (0.0, 1.0)))
+        problem = SLProblem(1, interval, 1.0, 0.0, 0.0)
+
+    elif name == "harmonic":
+        omega = float(params.pop("omega", 1.0))
+        interval = tuple(params.pop("interval", (0.0, 1.0)))
+        problem = SLProblem(1, interval, 1.0, 0.0, -omega * omega, params={"omega": omega})
+
+    elif name in ("bessel", "bessel_r"):
+        if name == "bessel_r":
+            q = q_of_r(_required(params, "r", name))
+        else:
+            q = _required(params, "q", name)
+        problem = bessel_problem(q, params.pop("interval", (0.0, 1.0)), {"q": q})
+
+    elif name == "mathieu":
+        a = float(params.pop("a", 1.0))
+        qm = float(params.pop("q", 0.5))
+        interval = tuple(params.pop("interval", (0.0, math.pi)))
+        problem = SLProblem(
+            1, interval, 1.0, 0.0,
+            lambda t, _a=a, _q=qm: _a - 2.0 * _q * np.cos(2.0 * t),
+            params={"a": a, "q": qm})
+
+    else:
+        raise UnknownCatalogEntry(f"no catalog entry named {name!r}")
+    if params:
+        raise ConfigInvalid(f"catalog problem {name!r} does not use the parameter(s) "
+                            + ", ".join(map(repr, sorted(params))))
+    return problem
 
 
 def load_problem_csv(path: str, dim: int, interval=None,

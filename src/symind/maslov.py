@@ -35,6 +35,7 @@ them, and they serve as its independent check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,12 @@ class LagrangianPath:
     crossing scan samples each parameter once and carries the frames it
     needs.  ``pointwise`` adapts a sampler that returns one LagrangianFrame
     per instant.
+
+    Each path states where the crossing scan must sample it first: ``grid``
+    when given, else ``samples`` evenly spaced parameters.  A constant path
+    gives its two ends, a connecting path a uniform grid fine enough for its
+    speed bound, and a flow its own natural scale; refinement then splits
+    every interval that still moves more than the continuity budget.
     """
 
     def __init__(self, space: SymplecticSpace, frames, a: float, b: float,
@@ -140,9 +147,11 @@ class LagrangianPath:
 
     @classmethod
     def constant(cls, frame: LagrangianFrame, a: float, b: float) -> "LagrangianPath":
+        """The path that stays at ``frame``; it does not move, so its grid is
+        its two ends and it adds no interior sample to a scan."""
         F = frame.frame
         return cls(frame.space, lambda ts: np.broadcast_to(F, (len(ts),) + F.shape), a, b,
-                   samples=16)
+                   grid=[a, b])
 
     @classmethod
     def rotation(cls, base: LagrangianFrame, angle_fun, a: float, b: float) -> "LagrangianPath":
@@ -168,6 +177,15 @@ class LagrangianPath:
         Z T Z* has T diagonal to roundoff and theta = angle(diag T) are the
         eigenphases; U(t) = U0 Z diag(exp(i t theta)) Z* samples any number
         of parameters in one batch.
+
+        The path moves at a proven speed: ||U(t + h) - U(t)||_2 =
+        max|exp(i h theta) - 1| <= max|theta| h, and the sine of the largest
+        principal angle between L(t) and L(t + h) is at most that norm
+        (the eigenphase picture of Howard, Latushkin & Sukhtayev, J. Dyn.
+        Diff. Eq. 2017).  So the grid has ceil(max|theta| / (2 budget))
+        uniform steps, at most 20 since |theta| <= pi, and the midpoints of
+        the first refinement wave already lie within CONTINUITY_BUDGET of
+        both ends of their step.
         """
         space = start.space
         if space.kind != "standard":
@@ -185,7 +203,8 @@ class LagrangianPath:
             U = (U0Z * np.exp(1j * np.multiply.outer(ts, theta))[:, None, :]) @ Zh
             return np.concatenate([U.real, -U.imag], axis=1)
 
-        return cls(space, frames, 0.0, 1.0)
+        steps = max(1, math.ceil(np.max(np.abs(theta)) / (2.0 * CONTINUITY_BUDGET)))
+        return cls(space, frames, 0.0, 1.0, grid=np.linspace(0.0, 1.0, steps + 1))
 
 
 # -- crossing forms ----------------------------------------------------------
@@ -250,17 +269,19 @@ def crossing_form(path: LagrangianPath, reference: LagrangianFrame, t0: float,
 
 
 def _refined_grid(path1, path2, a, b, budget=CONTINUITY_BUDGET):
-    """Sample parameters ts so consecutive frames of both paths move < budget,
+    """Sample parameters ts so consecutive frames of both paths move <= budget,
     and the frames F of both paths there, (2, len(ts), dim, half_dim).
 
-    An interval passes only when its endpoints AND its midpoint are all
-    within budget of each other: the endpoint gap alone aliases when a line
-    rotates by a multiple of pi across one step.  Refinement runs in waves:
-    the midpoints of every open interval (with the initial grid, in the
-    first wave) are sampled in one batch per path and all their gaps come
-    from one stacked SVD, then each interval is accepted or split in two for
-    the next wave.  Intervals index the samples taken so far, so every
-    parameter is sampled once and every sample is a grid point.
+    An interval passes when both of its halves, lo-mid and mid-hi, move
+    within budget; the lo-hi gap itself is not checked.  The lo-hi gap alone
+    would alias when a line rotates by a multiple of pi across one step.  A
+    path whose speed is bounded by v passes in the first wave when its
+    initial steps are at most 2 budget / v, as those of ``connecting`` are.
+    Refinement runs in waves: the midpoints of every open interval (with the
+    initial grid, in the first wave) are sampled in one batch per path and
+    all their gaps come from one stacked SVD, then each interval is accepted
+    or split in two for the next wave.  Intervals index the samples taken so
+    far, so every parameter is sampled once and every sample is a grid point.
     """
     ts = np.unique(np.concatenate([p.initial_grid(a, b) for p in (path1, path2)]))
     F = np.zeros((2, 0, path1.space.dim, path1.space.half_dim))
@@ -487,10 +508,13 @@ def triple_index(alpha: LagrangianFrame, beta: LagrangianFrame,
     sines = stacked_principal_sines(space, F, F[[1, 2, 0]])
     d_ab, d_bc, d_ca = np.sum(sines <= INTERSECTION_TOL, axis=1).tolist()
     M_ab, M_bc, M_ca = np.swapaxes(F, 1, 2) @ space.form @ F[[1, 2, 0]]
-    Z = np.zeros_like(M_ab)
-    tau = inertia_of(np.block([[Z, M_ab, M_ca.T], [M_ab.T, Z, M_bc], [M_ca, M_bc.T, Z]]),
-                     floor=0.5 * INTERSECTION_TOL).signature
-    twice = tau + space.half_dim - d_ab - d_bc + d_ca
+    n = space.half_dim
+    a, b, c = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    K = np.zeros((3 * n, 3 * n))
+    K[a, b], K[b, c], K[c, a] = M_ab, M_bc, M_ca
+    K[b, a], K[c, b], K[a, c] = M_ab.T, M_bc.T, M_ca.T
+    tau = inertia_of(K, floor=0.5 * INTERSECTION_TOL).signature
+    twice = tau + n - d_ab - d_bc + d_ca
     if twice % 2:
         raise Inconclusive(f"Kashiwara signature {tau} and intersection dimensions "
                            f"{d_ab}, {d_bc}, {d_ca} disagree at a principal sine near the tolerance")

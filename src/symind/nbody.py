@@ -17,6 +17,7 @@ infinity) or -d^2/dt^2 + beta / t^3 (hyperbolic infinity).
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -366,9 +367,16 @@ _SEEDS = {"two-body": two_body, "lagrange3": lagrange3, "euler3": euler3}
 
 
 def seed_central_config(config_id: str, **kwargs) -> CentralConfig:
+    """The seed ``config_id`` built with ``kwargs``; an unknown seed or a
+    parameter the seed does not take raises ConfigInvalid."""
     if config_id not in _SEEDS:
         raise ConfigInvalid(f"unknown central-configuration seed {config_id!r}")
-    return _SEEDS[config_id](**kwargs)
+    seed = _SEEDS[config_id]
+    unused = sorted(set(kwargs) - set(inspect.signature(seed).parameters))
+    if unused:
+        raise ConfigInvalid(f"central-configuration seed {config_id!r} does not use the "
+                            "parameter(s) " + ", ".join(map(repr, unused)))
+    return seed(**kwargs)
 
 
 def load_configuration(source) -> Configuration:

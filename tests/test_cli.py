@@ -73,6 +73,19 @@ class TestMorseCommand:
         assert "symind.ConfigInvalid" in err and param in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args,unused", [
+        (["bessel", "--q", "0.3", "--omega", "5"], ["'omega'"]),
+        (["harmonic", "--omega", "3", "--q", "7", "--interval", "0", "1"], ["'q'"]),
+        (["bessel_r", "--r", "0.5", "--q", "1", "--a", "2"], ["'a'", "'q'"]),
+        (["nbody-asymptotic", "--omega", "5"], ["'omega'"]),
+    ], ids=["bessel_omega", "harmonic_q", "bessel_r_a_q", "nbody_omega"])
+    def test_unused_catalog_parameter_is_config_invalid(self, capsys, args, unused):
+        # an option the entry does not read would only enter the config hash
+        code, _, err = run_cli(["morse", "--problem"] + args, capsys)
+        assert code == EXIT_ERROR
+        assert "symind.ConfigInvalid" in err and all(p in err for p in unused)
+        assert "Traceback" not in err
+
 
 class TestBesselCommand:
     def test_zero_sequence_csv(self, capsys, tmp_path):

@@ -514,6 +514,55 @@ class TestConnectingPath:
         assert gap_distance(path(0.0), start) < 1e-13 and gap_distance(path(1.0), end) < 1e-12
 
 
+class TestConnectingGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           end=st.sampled_from(["haar", "equal", "near"]))
+    def test_grid_follows_the_speed_bound(self, n, seed, end):
+        # U(t) = U0 Z diag(exp(i t theta)) Z* moves at most max|theta| h over
+        # a step h, which bounds the largest principal sine across it
+        space = SymplecticSpace.standard(n)
+        rng = np.random.default_rng(seed)
+        Us = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+              for _ in range(4)]
+        if end == "equal":
+            Us[1] = Us[0]
+        elif end == "near":
+            Us[1] = _near(Us[0], rng, 1e-6 * rng.uniform(0.1, 1.0, n), shared=False)
+        l1, l2, m1, m2 = (LagrangianFrame(space, np.vstack([U.real, U.imag])) for U in Us)
+        path = LagrangianPath.connecting(l1, l2)
+        U0, U1 = (l.frame[:n] - 1j * l.frame[n:] for l in (l1, l2))
+        speed = np.max(np.abs(np.angle(np.linalg.eigvals(U0.conj().T @ U1))))
+        grid = path.initial_grid(0.0, 1.0)
+        assert grid.size == 1 + max(1, math.ceil(speed / (2.0 * CONTINUITY_BUDGET))) <= 21
+        halves = np.sort(np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:])]))
+        sines = stacked_principal_sines(space, path.frames(halves[:-1]), path.frames(halves[1:]))
+        # 1e-14 covers the roundoff of the sines between equal frames
+        assert np.all(sines[:, -1] <= speed * np.diff(halves) * (1.0 + 1e-12) + 1e-14)
+        # the first refinement wave passes, with no sample beyond the midpoints
+        ts, F = _refined_grid(path, LagrangianPath.constant(m1, 0.0, 1.0), 0.0, 1.0)
+        assert np.array_equal(ts, halves)
+        assert largest_step_gap(space, F[0]) <= CONTINUITY_BUDGET
+        assert hormander_via_maslov(l1, l2, m1, m2) == hormander_index(l1, l2, m1, m2)
+
+    def test_dirichlet_scan_starts_from_the_flow_grid(self, monkeypatch):
+        # the constant Dirichlet path adds no sample to the flow's 256 on (0, pi)
+        from symind.catalog import make_problem
+        from symind.sturm import conjugate_points
+
+        grids, initial_grid = [], LagrangianPath.initial_grid
+
+        def recorded(path, a, b):
+            grids.append(initial_grid(path, a, b))
+            return grids[-1]
+
+        monkeypatch.setattr(LagrangianPath, "initial_grid", recorded)
+        points = conjugate_points(make_problem("harmonic", omega=2.0, interval=(0.0, np.pi)),
+                                  (0.0, np.pi))
+        assert np.allclose([t for t, _ in points], [np.pi / 2], rtol=1e-9)
+        assert np.unique(np.concatenate(grids)).size == 256
+
+
 class TestPathSamplers:
     @pytest.mark.parametrize("n,seed", [(1, 53), (2, 54), (3, 55)])
     def test_rotation_samples_equal_the_matrix_route(self, n, seed):
