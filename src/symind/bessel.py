@@ -164,15 +164,15 @@ def singular_end_space() -> SymplecticSpace:
 
 
 def friedrichs_trace_frame(r: float) -> LagrangianFrame:
-    """Trace-space line of the Friedrichs condition in the limit-circle regime
-    -1/4 < q < 3/4: it forces the coefficient of t^(1/2-r) to vanish, so it
-    is the line of the principal solution t^(1/2+r) = y1 + r y2.  In the
-    coordinates (-[f, y1], [f, y2]) of ``sturm.boundary_chart``,
-    f = a1 y1 + a2 y2 has the trace -(a2, a1): the line through (r, 1).
+    """Trace-space line of the Friedrichs condition for -1/4 <= q < 3/4: that
+    of the principal solution t^(1/2+r) = y1 + r y2 (at r = 0, t^(1/2)
+    against t^(1/2) ln t).  In the coordinates (-[f, y1], [f, y2]) of
+    ``sturm.boundary_chart``, f = a1 y1 + a2 y2 has the trace -(a2, a1):
+    the line through (r, 1).
     """
-    if not (0.0 < r < 1.0):
+    if not (0.0 <= r < 1.0):
         raise LimitPointNoCondition(
-            "Friedrichs selection requires the limit-circle regime r in (0, 1)")
+            "Friedrichs selection requires the limit-circle regime r in [0, 1)")
     a = principal_coefficients(r)
     return line_frame(singular_end_space(), [-a[1], -a[0]])
 

@@ -18,15 +18,20 @@ alone.  W(t) = S(l2(t)) S(l1(t))^* has the eigenvalue 1 with multiplicity
 dim(l1(t) cap l2(t)), and an eigenphase of W passes 1 counterclockwise where
 the crossing form is positive on its direction (Howard, Latushkin &
 Sukhtayev, J. Dyn. Diff. Eq. 2017; Booss-Bavnbek & Furutani 1998).  So mu is
-the signed number of eigenphases passing the cut at angle 0 over a sample
-grid on which both paths move little, which needs no regular-crossing
-assumption.  Eigenphases are paired between samples by eigenvector overlap.
-At t = a and t = b only, a phase within ENDPOINT_PHASE_TOL of 0 is an
-endpoint crossing and sits on the 2 pi side of the cut; this gives n_plus at
-a and -n_minus at b.  An endpoint phase that moves less than
-ENDPOINT_PHASE_TOL over the adjacent sample step stays at the cut, as on
-two constant paths that meet, and counts in n_zero.  A product space (-Omega) (+) Omega is first mapped to
-the standard one by negating the left p-block.
+the signed number of eigenphases passing angle 0 over a sample grid on
+which both paths move little, which needs no regular-crossing assumption.
+The count reads eigenvalues only: each grid step sorts both of its spectra
+counterclockwise from a cut in the middle of the widest gap of the first.
+The spectra of two unitaries match within the norm of their difference
+(Bhatia & Davis, Linear Multilinear Algebra 15, 1984), so no phase reaches
+that cut within the step and the i-th phase from it is one phase at both
+ends.  At t = a and t = b only, a phase within ENDPOINT_PHASE_TOL of 0 is an
+endpoint crossing and sits on the 2 pi side of angle 0; this gives n_plus
+at a and -n_minus at b.  An endpoint phase that moves less than
+ENDPOINT_PHASE_TOL over the adjacent sample step stays at 0, as on two
+constant paths that meet, and counts in n_zero.  A product space
+(-Omega) (+) Omega is first mapped to the standard one by negating the left
+p-block.
 
 ``crossing_form`` and ``relative_crossing_matrix`` compute crossing forms
 directly, from finite differences of the projector; the count does not use
@@ -92,20 +97,18 @@ class LagrangianPath:
     per instant.
 
     Each path states where the crossing scan must sample it first: ``grid``
-    when given, else ``samples`` evenly spaced parameters.  A constant path
+    when given, else 256 evenly spaced parameters.  A constant path
     gives its two ends, a connecting path a uniform grid fine enough for its
     speed bound, and a flow its own natural scale; refinement then splits
     every interval that still moves more than the continuity budget.
     """
 
-    def __init__(self, space: SymplecticSpace, frames, a: float, b: float,
-                 samples: int = 256, grid=None):
+    def __init__(self, space: SymplecticSpace, frames, a: float, b: float, grid=None):
         if not b > a:
             raise ValueError("need b > a")
         self.space = space
         self.a = float(a)
         self.b = float(b)
-        self.samples = int(samples)
         self.grid = None if grid is None else np.asarray(grid, dtype=float)
         self._frames = frames
 
@@ -116,7 +119,7 @@ class LagrangianPath:
         if self.grid is not None:
             inside = self.grid[(self.grid >= a) & (self.grid <= b)]
             return np.unique(np.concatenate([[a], inside, [b]]))
-        return np.linspace(a, b, max(self.samples, 16))
+        return np.linspace(a, b, 256)
 
     def __call__(self, t: float) -> LagrangianFrame:
         return LagrangianFrame(self.space, self.frames([t])[0])
@@ -135,7 +138,7 @@ class LagrangianPath:
 
     @classmethod
     def pointwise(cls, space: SymplecticSpace, fun, a: float, b: float,
-                  samples: int = 256) -> "LagrangianPath":
+                  grid=None) -> "LagrangianPath":
         """A path from a sampler t -> LagrangianFrame, called once per instant."""
         def frames(ts):
             out = [fun(float(t)) for t in ts]
@@ -143,7 +146,7 @@ class LagrangianPath:
                 raise SpaceMismatch("sampler returned no frame in the path's space")
             return np.array([f.frame for f in out]).reshape(len(ts), space.dim, space.half_dim)
 
-        return cls(space, frames, a, b, samples=samples)
+        return cls(space, frames, a, b, grid=grid)
 
     @classmethod
     def constant(cls, frame: LagrangianFrame, a: float, b: float) -> "LagrangianPath":
@@ -337,62 +340,45 @@ def _souriau(space: SymplecticSpace, frames: np.ndarray) -> np.ndarray:
     return U @ np.swapaxes(U, 1, 2)
 
 
-def _eig_w(space, F):
-    """Eigenvalues (k, n) and eigenvectors (k, n, n) of W from the frames
-    F of both paths, (2, k, dim, half_dim).  For n = 1 the unitary W is its
-    own eigenvalue and its eigenvector is 1, without the batched eig."""
-    W = _souriau(space, F[1]) @ _souriau(space, F[0]).conj()
-    if W.shape[-1] == 1:
-        return W[:, 0], np.ones_like(W)
-    return np.linalg.eig(W)
+def _eig_w(W):
+    """Eigenvalues (k, n) of the stacked unitaries W; W itself when n = 1."""
+    return W[:, :, 0] if W.shape[-1] == 1 else np.linalg.eigvals(W)
 
 
-def _pair_branches(lam, vecs):
-    """Reorder eigenpairs so that column j follows one branch along the samples:
-    consecutive samples are matched by largest eigenvector overlap, greedily
-    where two eigenvectors prefer the same partner.  The matchings compose
-    into each sample's order by the doubling of ``sturm._chain``, here on
-    index maps.  With n = 1 there is nothing to pair."""
-    n = lam.shape[1]
-    if n == 1:
-        return lam, vecs
-    overlap = np.abs(np.swapaxes(vecs[:-1].conj(), 1, 2) @ vecs[1:])
-    nxt = np.argmax(overlap, axis=2)
-    for k in np.flatnonzero(np.any(np.sort(nxt, axis=1) != np.arange(n), axis=1)):
-        o = overlap[k].copy()
-        for _ in range(n):
-            i, j = np.unravel_index(np.argmax(o), o.shape)
-            nxt[k, i], o[i], o[:, j] = j, -1.0, -1.0
-    # order[k + 1] = nxt[k][order[k]]: after the pass of stride s each map
-    # composes its last 2s matchings
-    s = 1
-    while s < len(nxt):
-        nxt[s:] = np.take_along_axis(nxt[s:], nxt[:-s], axis=1)
-        s *= 2
-    order = np.concatenate([np.arange(n)[None], nxt])
-    return np.take_along_axis(lam, order, axis=1), np.take_along_axis(vecs, order[:, None, :], axis=2)
+def _cuts(lam):
+    """The middle of the widest gap of each spectrum in lam (k, n), and half that gap."""
+    p = np.sort(np.angle(lam), axis=1)
+    gaps = np.diff(p, axis=1, append=p[:, :1] + _TWO_PI)
+    half = 0.5 * gaps.max(axis=1)
+    return p[np.arange(len(p)), np.argmax(gaps, axis=1)] + half, half
 
 
-def _tracked_phases(path1, path2, ts, refs):
-    """At each ts[i], the phase and eigenvector of W whose eigenvector
-    overlaps refs[i] most."""
-    lam, vecs = _eig_w(path1.space, np.array([path1.frames(ts), path2.frames(ts)]))
-    j = np.argmax(np.abs(np.einsum("kn,knm->km", refs.conj(), vecs)), axis=1)
-    k = np.arange(len(ts))
-    return np.angle(lam[k, j]), vecs[k, :, j]
+def _from_cut(lam, cut):
+    """Each row of lam (k, n) sorted counterclockwise from the angle cut[k]."""
+    if lam.shape[1] == 1:
+        return lam
+    order = np.argsort(np.mod(np.angle(lam) - cut[:, None], _TWO_PI), axis=1)
+    return np.take_along_axis(lam, order, axis=1)
 
 
-def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
-    """Roots of the tracked phases through 0, one per bracket [lo, hi].
+def _ordered_phases(path1, path2, ts, cut, j):
+    """At each ts[i], the phase of the j[i]-th eigenvalue of W counted
+    counterclockwise from the angle cut[i]."""
+    W = _souriau(path1.space, path2.frames(ts)) @ _souriau(path1.space, path1.frames(ts)).conj()
+    return np.angle(_from_cut(_eig_w(W), cut)[np.arange(len(ts)), j])
+
+
+def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, cut, j):
+    """Roots through 0 of the j-th phase from the cut, one per bracket [lo, hi].
 
     ``sign`` is +1 for a rising phase, -1 for a falling one, so that
     g = sign * phase has g_lo < 0 <= g_hi or g_lo <= 0 < g_hi.  All open
     brackets step together, sampled in one batch per path with one stacked
-    eig per wave, by Chandrupatla's method (Adv. Eng. Softw. 28, 1997): the
-    first point is the false-position point of the bracket, later ones the
-    inverse quadratic interpolant through the bracket ends and the point last
-    dropped, or the midpoint where the three values fail its validity test.
-    Each point is kept at least xtol / 2 inside the bracket, so a good
+    eigvals per wave, by Chandrupatla's method (Adv. Eng. Softw. 28, 1997):
+    the first point is the false-position point of the bracket, later ones
+    the inverse quadratic interpolant through the bracket ends and the point
+    last dropped, or the midpoint where the three values fail its validity
+    test.  Each point is kept at least xtol / 2 inside the bracket, so a good
     estimate closes it in one more wave.  A bracket is done at width xtol,
     LOCATE_REL_TOL times its position or initial width; its root is the
     false-position point of the final bracket.
@@ -410,8 +396,7 @@ def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
             break
         lim = 0.5 * xtol[i] / np.abs(x1[i] - x2[i])
         t = x1[i] + np.clip(frac[i], lim, 1.0 - lim) * (x2[i] - x1[i])
-        phase, refs[i] = _tracked_phases(path1, path2, t, refs[i])
-        g = sign[i] * phase
+        g = sign[i] * _ordered_phases(path1, path2, t, cut[i], j[i])
         root[i[g == 0]] = t[g == 0]
         # the end on g's side of the root is dropped to x3; when g's sign
         # differs from f1's, x1 becomes the bracket's other end
@@ -430,9 +415,9 @@ def _locate(path1, path2, lo, hi, g_lo, g_hi, sign, refs):
 
 
 def _endpoint_inertia(phase, step) -> InertiaTriple:
-    """Directions of the phases at the cut at an end sample, from the
+    """Directions of the phases at 0 at an end sample, from the
     adjacent sample step; a phase that moves less than ENDPOINT_PHASE_TOL
-    over the step stays at the cut and counts as zero."""
+    over the step stays at 0 and counts as zero."""
     d = step[np.abs(phase) < ENDPOINT_PHASE_TOL]
     return InertiaTriple(int(np.sum(d >= ENDPOINT_PHASE_TOL)),
                          int(np.sum(np.abs(d) < ENDPOINT_PHASE_TOL)),
@@ -440,22 +425,35 @@ def _endpoint_inertia(phase, step) -> InertiaTriple:
 
 
 def _crossings(path1, path2, a, b):
-    """The index and the crossing records of the pair on [a, b]."""
+    """The index and the crossing records of the pair on [a, b].
+
+    A step where the bound 2 asin(||dW||_F / 2) on the phases' movement
+    reaches half the widest gap raises ContinuityBudgetExceeded.  Eigenvalues
+    cannot tell a crossing from an avoided one, so a cancelling pair of
+    passes inside one step leaves no record; the index is the same.
+    """
     ts, F = _refined_grid(path1, path2, a, b)
-    lam, vecs = _pair_branches(*_eig_w(path1.space, F))
-    phase = np.angle(lam)
-    step = np.angle(lam[1:] * lam[:-1].conj())
-    passes = np.floor((phase[:-1] + step) / _TWO_PI) - np.floor(phase[:-1] / _TWO_PI)
-    # a phase at the cut at t = a or t = b is an endpoint crossing
+    W = _souriau(path1.space, F[1]) @ _souriau(path1.space, F[0]).conj()
+    lam = _eig_w(W)
+    cut, half = _cuts(lam)
+    move = 2.0 * np.arcsin(np.minimum(1.0, 0.5 * np.linalg.norm(np.diff(W, axis=0), axis=(1, 2))))
+    if np.any(move >= half[:-1]):
+        i = np.argmax(move >= half[:-1])
+        raise ContinuityBudgetExceeded(f"eigenphases may move {move[i]:.3f} over [{ts[i]:.6g}, "
+                                       f"{ts[i + 1]:.6g}], half their widest gap {half[i]:.3f}")
+    lam0, lam1 = _from_cut(lam[:-1], cut[:-1]), _from_cut(lam[1:], cut[:-1])
+    phase, end, step = np.angle(lam0), np.angle(lam1), np.angle(lam1 * lam0.conj())
+    passes = np.floor((phase + step) / _TWO_PI) - np.floor(phase / _TWO_PI)
+    # a phase at 0 at t = a or t = b is an endpoint crossing
     passes[0, np.abs(phase[0]) < ENDPOINT_PHASE_TOL] = 0
-    passes[-1, np.abs(phase[-1]) < ENDPOINT_PHASE_TOL] = 0
-    at_a, at_b = _endpoint_inertia(phase[0], step[0]), _endpoint_inertia(phase[-1], step[-1])
+    passes[-1, np.abs(end[-1]) < ENDPOINT_PHASE_TOL] = 0
+    at_a, at_b = _endpoint_inertia(phase[0], step[0]), _endpoint_inertia(end[-1], step[-1])
     mu = int(passes.sum()) + at_a.n_plus - at_b.n_minus
 
     k, j = np.nonzero(passes)
     sign = passes[k, j]
     roots, xtol = _locate(path1, path2, ts[k], ts[k + 1], sign * phase[k, j],
-                          sign * phase[k + 1, j], sign, vecs[k, :, j])
+                          sign * end[k, j], sign, cut[k], j)
     # interior instants stay strictly inside (a, b), apart from endpoint records
     roots = np.clip(roots, np.nextafter(a, b), np.nextafter(b, a))
     # roots that agree to the root finder's tolerance are one instant

@@ -402,7 +402,7 @@ def monodromy_graph_path(problem: SLProblem, s_interval) -> LagrangianPath:
         F = stacked_graph_frames(problem.space, monodromies(problem, problem.interval, members))
         return np.broadcast_to(F, (len(ss),) + F.shape[1:])
 
-    return LagrangianPath(prod, frames, *s_interval, samples=64)
+    return LagrangianPath(prod, frames, *s_interval, grid=np.linspace(*s_interval, 64))
 
 
 def _boundary_path(problem: SLProblem, bc, s_interval) -> LagrangianPath:
@@ -411,10 +411,10 @@ def _boundary_path(problem: SLProblem, bc, s_interval) -> LagrangianPath:
     prod = SymplecticSpace.minus_plus(problem.dim, problem.dim)
     if callable(bc):
         return LagrangianPath.pointwise(prod, lambda s: resolve_boundary_condition(problem, bc(s)),
-                                        *s_interval, samples=64)
+                                        *s_interval, grid=np.linspace(*s_interval, 64))
     F = resolve_boundary_condition(problem, bc).frame
     return LagrangianPath(prod, lambda ss: np.broadcast_to(F, (len(ss),) + F.shape),
-                          *s_interval, samples=64)
+                          *s_interval, grid=np.linspace(*s_interval, 64))
 
 
 def verify_sf_formula(problem: SLProblem, bc, s_interval, N: int = 512) -> dict:
@@ -475,7 +475,8 @@ def rellich_ghosts(problem: SLProblem, bc_path, friedrichs_left,
             raise TransversalityViolated(f"boundary line at u={u} meets the Friedrichs line")
 
     u_max = max(u_values)
-    path = LagrangianPath.pointwise(left_space, left_frame, 0.0, u_max, samples=64)
+    path = LagrangianPath.pointwise(left_space, left_frame, 0.0, u_max,
+                                    grid=np.linspace(0.0, u_max, 64))
     fr_path = LagrangianPath.constant(fr, 0.0, u_max)
     mu, _ = maslov_clm(fr_path, path, (0.0, u_max))
 

@@ -751,7 +751,7 @@ def boundary_chart(problem: SLProblem,
     nu_j = sqrt(lam_j + 1/4), the one solution square-integrable at 0.  With
     k limit-circle directions the space is minus_plus(k, n).  The Friedrichs
     frame is the sum of the lines ``friedrichs_trace_frame(r_j)`` and
-    Dirichlet data at b; it exists when every limit-circle r_j is in (0, 1).
+    Dirichlet data at b; it exists when every limit-circle r_j is in [0, 1).
     """
     if problem.limit_matrix is None:
         if problem.singular_end() is None:
@@ -772,7 +772,7 @@ def boundary_chart(problem: SLProblem,
     K = lagrangian_from_columns(SymplecticSpace.minus_plus(k, n),
                                 np.vstack([left, np.column_stack(right)]))
     F = None
-    if all(0.0 < rj < 1.0 for rj in r):
+    if all(0.0 <= rj < 1.0 for rj in r):
         lines = np.reshape([friedrichs_trace_frame(rj).frame[:, 0] for rj in r], (k, 2))
         F = direct_sum_frame(np.vstack([np.diag(lines[:, 0]), np.diag(lines[:, 1])]),
                              dirichlet_frame(problem.space))

@@ -188,8 +188,12 @@ class TestFriedrichsFrame:
     def test_limit_point_has_no_condition(self):
         with pytest.raises(LimitPointNoCondition):
             friedrichs_trace_frame(1.0)
-        with pytest.raises(LimitPointNoCondition):
-            friedrichs_trace_frame(0.0)
+
+    def test_threshold_line_is_the_principal_solution(self):
+        # at r = 0 the principal solution is t^(1/2) = y1, whose trace
+        # (-[y1, y1], [y1, y2]) = (0, -1) spans the line (0, 1)
+        F = friedrichs_trace_frame(0.0)
+        assert np.allclose(np.abs(F.frame[:, 0]), [0.0, 1.0], atol=0.0)
 
     def test_frame_is_lagrangian_line(self):
         F = friedrichs_trace_frame(0.5)

@@ -60,6 +60,19 @@ class TestMorseCommand:
         rep = json.loads(out)
         assert rep["verdict"] == 0 and rep["diagnostics"]["triple_index_correction"] == 0
 
+    def test_neumann_at_the_threshold(self, capsys):
+        # at q = -1/4 (r = 0) the Friedrichs line is that of the principal
+        # solution t^(1/2).  Oracle: a negative eigenvalue -k^2 has the
+        # eigenfunction t^(1/2) I0(k t), whose derivative at 1,
+        # I0(k)/2 + k I1(k), is positive since I0 > 0 and I1 >= 0 for k >= 0,
+        # and x = t^(1/2) has x'(1) = 1/2, so the Morse index and the nullity
+        # are 0
+        code, out, err = run_cli(["morse", "--problem", "bessel", "--q", "-0.25",
+                                  "--bc", "neumann"], capsys)
+        assert code == EXIT_OK, err
+        rep = json.loads(out)
+        assert rep["verdict"] == 0 and rep["diagnostics"]["friedrichs_index"] == 0
+
     def test_schedule_too_short_is_error(self, capsys):
         code, _, err = run_cli(["morse", "--problem", "free",
                                 "--delta-schedule", "0.01", "0.001"], capsys)

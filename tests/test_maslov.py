@@ -39,7 +39,7 @@ from symind.core import (
     stacked_lagrangian_frames,
     stacked_principal_sines,
 )
-from symind.errors import Inconclusive, NotACrossing, SpaceMismatch
+from symind.errors import ContinuityBudgetExceeded, Inconclusive, NotACrossing, SpaceMismatch
 import symind.maslov as maslov
 from symind.cli import main
 from symind.maslov import (
@@ -497,6 +497,60 @@ class TestNearDegenerateQuadruples:
         assert hormander_via_maslov(l1, l2, m1, m2) == hormander_index(l1, l2, m1, m2)
 
 
+def _haar_quadruple(rng, n):
+    """Four Lagrangians [Re U; Im U], U the Q factor of a complex Gaussian."""
+    Us = [np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+          for _ in range(4)]
+    return Us, [LagrangianFrame(SymplecticSpace.standard(n), np.vstack([U.real, U.imag]))
+                for U in Us]
+
+
+class TestEigenvalueCount:
+    def test_avoided_crossing_inside_one_step_leaves_no_record(self):
+        # two phases near 0 pass an avoided crossing inside the 0.125 step,
+        # (-0.031, 0.055) -> (0.092, -0.029), and the paths never come within
+        # a principal sine 4.2e-3 of each other, so there is nothing to record
+        _, (l1, l2, m1, m2) = _haar_quadruple(np.random.default_rng(2324), 2)
+        path = LagrangianPath.connecting(l1, l2)
+        assert maslov_clm(path, LagrangianPath.constant(m1, 0.0, 1.0)) == (0, [])
+
+    # the index of connecting(l1, l2) against m1 for seeds 0..29
+    MU = [-1, 0, -1, 0, 2, 0, 0, -1, -1, 0, 2, 0, 0, 1, -1, 0, 0, 1, 1, -1, 0, -1, 0, -1, 0, 0, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_interior_records_sit_where_the_paths_meet(self, seed):
+        # l2 within principal sines 1e-6..1e-3 of m1: eigenphases of W cluster
+        # near 0 at the end of the path, and every interior instant is a root
+        # of a phase, where multiplicity-many principal sines vanish
+        n = 1 + seed % 3
+        rng = np.random.default_rng(seed)
+        Us, (l1, _, m1, m2) = _haar_quadruple(rng, n)
+        U2 = _near(Us[2], rng, 10.0 ** rng.uniform(-6.0, -3.0, n), shared=False)
+        l2 = LagrangianFrame(m1.space, np.vstack([U2.real, U2.imag]))
+        path = LagrangianPath.connecting(l1, l2)
+        mu, recs = maslov_clm(path, LagrangianPath.constant(m1, 0.0, 1.0))
+        assert mu == self.MU[seed]
+        assert hormander_via_maslov(l1, l2, m1, m2) == hormander_index(l1, l2, m1, m2)
+        for r in recs:
+            if 0.0 < r.t < 1.0:
+                sines = stacked_principal_sines(m1.space, path.frames([r.t]), m1.frame[None])[0]
+                assert sines[r.multiplicity - 1] <= 1e-7
+
+    def test_coarse_step_is_continuity_budget_exceeded(self, monkeypatch):
+        # a Lagrangian plane turning by 1 rad in one step: W is a multiple
+        # of I, whose phase moves by 2 rad, and ||dW||_F = 2 sqrt(2) sin 1 > 2,
+        # so the bound 2 asin(||dW||_F / 2) reaches pi, half the widest gap
+        def coarse(path1, path2, a, b):
+            ts = np.array([a, b])
+            return ts, np.array([path1.frames(ts), path2.frames(ts)])
+
+        monkeypatch.setattr(maslov, "_refined_grid", coarse)
+        base = dirichlet_frame(SymplecticSpace.standard(2))
+        path = LagrangianPath.rotation(base, lambda t: t, 0.0, 1.0)
+        with pytest.raises(ContinuityBudgetExceeded, match="widest gap"):
+            maslov_clm(path, LagrangianPath.constant(base, 0.0, 1.0))
+
+
 class TestConnectingPath:
     @pytest.mark.parametrize("n,seed", [(1, 50), (2, 51), (3, 52)])
     def test_batched_samples_equal_the_expm_route(self, n, seed):
@@ -591,19 +645,19 @@ class TestPathSamplers:
 
 def counting_waves(monkeypatch):
     """Patch the module so the returned list holds, per ``_locate`` call, the
-    number of its ``_tracked_phases`` waves."""
-    waves, locate, tracked = [], maslov._locate, maslov._tracked_phases
+    number of its ``_ordered_phases`` waves."""
+    waves, locate, ordered = [], maslov._locate, maslov._ordered_phases
 
     def counted_locate(*args):
         waves.append(0)
         return locate(*args)
 
-    def counted_tracked(*args):
+    def counted_ordered(*args):
         waves[-1] += 1
-        return tracked(*args)
+        return ordered(*args)
 
     monkeypatch.setattr(maslov, "_locate", counted_locate)
-    monkeypatch.setattr(maslov, "_tracked_phases", counted_tracked)
+    monkeypatch.setattr(maslov, "_ordered_phases", counted_ordered)
     return waves
 
 
